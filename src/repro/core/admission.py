@@ -8,6 +8,16 @@ Admission-Control router.  For every request it loops:
 3. admitted if the reservation succeeds; otherwise consult the
    retrial policy and possibly go around again.
 
+This module holds the only copy of that loop.  It runs in
+continuation style over the reservation contract of
+:mod:`repro.core.reservation`: each attempt hands the engine a
+callback that concludes or retries.  An atomic engine calls back
+before ``reserve`` returns, so the whole loop completes inside
+:meth:`ACRouter.admit`.  The RSVP-lite engine of
+:mod:`repro.signaling.rsvp` calls back after the PATH/RESV exchange,
+so each retrial costs a signalling round trip of simulated time and
+the decision carries its admission latency and message count.
+
 The router owns its selector (and therefore its local admission
 history) — state is strictly local, which is the point of the
 *distributed* admission control mechanism.
@@ -16,9 +26,9 @@ history) — state is strictly local, which is the point of the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Optional, Protocol, Sequence
+from typing import Callable, Hashable, Optional
 
-from repro.core.reservation import AtomicReservationEngine
+from repro.core.reservation import AtomicReservationEngine, ReservationEngine
 from repro.core.retrial import RetrialPolicy
 from repro.core.selection import DestinationSelector
 from repro.flows.flow import AdmittedFlow, FlowRequest
@@ -29,24 +39,6 @@ from repro.sim.random_streams import RandomStream
 
 NodeId = Hashable
 FlowId = Hashable
-
-
-class ReservationEngine(Protocol):
-    """What the AC-router needs from a reservation engine.
-
-    Satisfied by :class:`AtomicReservationEngine` and by the
-    fault-aware wrapper in :mod:`repro.network.faults`.
-    """
-
-    def try_reserve(
-        self, route: "Route", flow_id: FlowId, bandwidth_bps: float
-    ) -> bool:
-        """Reserve along ``route``; ``True`` on success."""
-        ...
-
-    def release(self, path: Sequence[NodeId], flow_id: FlowId) -> None:
-        """Tear down the flow's reservations along ``path``."""
-        ...
 
 
 @dataclass(frozen=True)
@@ -67,6 +59,9 @@ class AdmissionResult:
     decided_at:
         Simulation time of the decision (equals the request's arrival
         time under atomic reservations).
+    messages:
+        Signalling messages sent across all attempts (0 under atomic
+        reservations).
     """
 
     request: FlowRequest
@@ -74,6 +69,7 @@ class AdmissionResult:
     attempts: int
     tried: tuple[NodeId, ...]
     decided_at: float = 0.0
+    messages: int = 0
 
     @property
     def admitted(self) -> bool:
@@ -84,6 +80,11 @@ class AdmissionResult:
     def retrials(self) -> int:
         """Attempts beyond the first, i.e. ``c - 1``."""
         return self.attempts - 1
+
+    @property
+    def latency_s(self) -> float:
+        """Admission latency: simulated time from arrival to decision."""
+        return self.decided_at - self.request.arrival_time
 
 
 class ACRouter:
@@ -113,6 +114,10 @@ class ACRouter:
         this request may be drawn again on retrial; the default
         excludes failed destinations, matching the paper's cap of
         ``R`` at the group size.
+    clock:
+        Simulated-time source that stamps decisions.  An engine that
+        decides after ``reserve`` returns needs it; without a clock a
+        decision is stamped with the request's arrival time.
     """
 
     def __init__(
@@ -125,6 +130,7 @@ class ACRouter:
         rng: RandomStream,
         reservation: Optional[ReservationEngine] = None,
         resample_failed: bool = False,
+        clock: Optional[Callable[[], float]] = None,
     ) -> None:
         self.network = network
         self.source = source
@@ -136,18 +142,33 @@ class ACRouter:
             reservation or AtomicReservationEngine(network)
         )
         self.resample_failed = resample_failed
+        self.clock = clock
         self.routes = RouteTable(network, source, group.members)
         # Lifetime counters for reporting.
         self.requests_seen = 0
         self.requests_admitted = 0
         self.total_attempts = 0
 
-    def admit(self, request: FlowRequest, now: Optional[float] = None) -> AdmissionResult:
+    @property
+    def engine(self) -> ReservationEngine:
+        """The reservation engine (alias of :attr:`reservation`)."""
+        return self.reservation
+
+    def admit(
+        self,
+        request: FlowRequest,
+        now: Optional[float] = None,
+        on_decision: Optional[Callable[[AdmissionResult], None]] = None,
+    ) -> Optional[AdmissionResult]:
         """Run the DAC procedure for ``request``.
 
-        Returns an :class:`AdmissionResult`; on admission the flow's
-        bandwidth is held on every link of its route until
-        :meth:`release` is called.
+        ``on_decision``, if given, receives the :class:`AdmissionResult`
+        when the loop concludes.  The result is also returned when the
+        loop concludes before ``admit`` returns, which is always the
+        case under atomic reservations; under signalled ones ``admit``
+        returns ``None``.  ``now`` overrides the decision timestamp.
+        On admission the flow's bandwidth is held on every link of its
+        route until :meth:`release` is called.
         """
         if request.source != self.source:
             raise ValueError(
@@ -159,60 +180,24 @@ class ACRouter:
                 f"request group {request.group.address!r} does not match "
                 f"router group {self.group.address!r}"
             )
-        decided_at = request.arrival_time if now is None else now
         self.requests_seen += 1
-        tried: list[NodeId] = []
-        excluded: set[NodeId] = set()
-        attempts = 0
-        while True:
-            exclude = frozenset(excluded)
-            destination = self.selector.select(self.rng, exclude=exclude)
-            attempts += 1
-            tried.append(destination)
-            route = self.routes.route_to(destination)
-            success = self.reservation.try_reserve(
-                route, request.flow_id, request.bandwidth_bps
-            )
-            self.selector.observe(destination, success)
-            if success:
-                self.requests_admitted += 1
-                self.total_attempts += attempts
-                flow = AdmittedFlow(
-                    request=request,
-                    destination=destination,
-                    path=route.path,
-                    admitted_at=decided_at,
-                    attempts=attempts,
-                )
-                return AdmissionResult(
-                    request=request,
-                    flow=flow,
-                    attempts=attempts,
-                    tried=tuple(tried),
-                    decided_at=decided_at,
-                )
-            if not self.resample_failed:
-                excluded.add(destination)
-            keep_going = self.retrial_policy.should_retry(
-                attempts_made=attempts,
-                distinct_tried=len(excluded) if not self.resample_failed else len(set(tried)),
-                group_size=self.group.size,
-            )
-            if not keep_going:
-                self.total_attempts += attempts
-                return AdmissionResult(
-                    request=request,
-                    flow=None,
-                    attempts=attempts,
-                    tried=tuple(tried),
-                    decided_at=decided_at,
-                )
+        admission = _Admission(self, request, now, on_decision)
+        admission.attempt()
+        return admission.result
+
+    def reservation_key(self, flow_id: FlowId, attempt: int) -> FlowId:
+        """The key attempt number ``attempt`` of a flow reserves under."""
+        if self.reservation.per_attempt_keys:
+            return (flow_id, attempt)
+        return flow_id
 
     def release(self, flow: AdmittedFlow) -> None:
         """Tear down an admitted flow's reservations (idempotent)."""
         if flow.released:
             return
-        self.reservation.release(flow.path, flow.flow_id)
+        self.reservation.release(
+            flow.path, self.reservation_key(flow.flow_id, flow.attempts)
+        )
         flow.released = True
 
     @property
@@ -234,3 +219,89 @@ class ACRouter:
             f"ACRouter(source={self.source!r}, selector={self.selector.name}, "
             f"seen={self.requests_seen})"
         )
+
+
+class _Admission:
+    """One request's pass through the Figure 1 loop.
+
+    The loop's state lives here, not in closures, because every
+    attempt continues in the reservation engine's callback (closures
+    calling each other would form a reference cycle per request).
+    """
+
+    __slots__ = (
+        "router", "request", "now", "on_decision", "tried", "excluded", "result"
+    )
+
+    def __init__(
+        self,
+        router: ACRouter,
+        request: FlowRequest,
+        now: Optional[float],
+        on_decision: Optional[Callable[[AdmissionResult], None]],
+    ) -> None:
+        self.router = router
+        self.request = request
+        self.now = now
+        self.on_decision = on_decision
+        self.tried: list[NodeId] = []
+        self.excluded: set[NodeId] = set()
+        self.result: Optional[AdmissionResult] = None
+
+    def attempt(self, messages: int = 0) -> None:
+        """Select a destination and start reserving its route."""
+        router = self.router
+        destination = router.selector.select(
+            router.rng, exclude=frozenset(self.excluded)
+        )
+        self.tried.append(destination)
+        route = router.routes.route_to(destination)
+        router.reservation.reserve(
+            route,
+            router.reservation_key(self.request.flow_id, len(self.tried)),
+            self.request.bandwidth_bps,
+            lambda outcome: self.conclude_or_retry(
+                destination, route, messages + outcome.messages, outcome.success
+            ),
+        )
+
+    def conclude_or_retry(
+        self, destination: NodeId, route: Route, messages: int, success: bool
+    ) -> None:
+        """Admit on success; otherwise retry or reject per the policy."""
+        router = self.router
+        router.selector.observe(destination, success)
+        attempts = len(self.tried)
+        if not success:
+            if router.resample_failed:
+                distinct_tried = len(set(self.tried))
+            else:
+                self.excluded.add(destination)
+                distinct_tried = len(self.excluded)
+            if router.retrial_policy.should_retry(
+                attempts_made=attempts,
+                distinct_tried=distinct_tried,
+                group_size=router.group.size,
+            ):
+                self.attempt(messages)
+                return
+        decided_at = self.now
+        if decided_at is None:
+            clock = router.clock
+            decided_at = self.request.arrival_time if clock is None else clock()
+        flow: Optional[AdmittedFlow] = None
+        if success:
+            router.requests_admitted += 1
+            flow = AdmittedFlow(
+                request=self.request,
+                destination=destination,
+                path=route.path,
+                admitted_at=decided_at,
+                attempts=attempts,
+            )
+        router.total_attempts += attempts
+        self.result = AdmissionResult(
+            self.request, flow, attempts, tuple(self.tried), decided_at, messages
+        )
+        if self.on_decision is not None:
+            self.on_decision(self.result)

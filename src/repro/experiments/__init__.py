@@ -31,7 +31,6 @@ from repro.experiments.ablations import (
 )
 from repro.experiments.chaos import (
     ChaosConfig,
-    ChaosResult,
     ChaosSimulation,
     chaos_figure,
     chaos_sweep,
@@ -56,7 +55,6 @@ from repro.experiments.tables import TableResult, table1, table2
 
 __all__ = [
     "ChaosConfig",
-    "ChaosResult",
     "ChaosSimulation",
     "ExperimentConfig",
     "FigureResult",

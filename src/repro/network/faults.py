@@ -35,6 +35,7 @@ from typing import (
     Sequence,
 )
 
+from repro.core.reservation import AtomicReservationEngine
 from repro.network.topology import Network
 from repro.sim.engine import Event, Simulator
 from repro.sim.random_streams import RandomStream
@@ -126,41 +127,28 @@ class FaultState:
         self.events.append(FaultEvent(time=now, link=(u, v), failed=False))
 
 
-class FaultAwareReservationEngine:
+class FaultAwareReservationEngine(AtomicReservationEngine):
     """Reservation engine that refuses routes crossing failed cables.
 
-    Wraps :class:`repro.core.reservation.AtomicReservationEngine`
-    behaviour with a fault check, so AC-routers treat a failed link
-    exactly like a saturated one — the retrial mechanism then steers
-    requests to other group members, which is the paper's suggested
-    fault-handling extension.
+    Adds a fault check to :class:`AtomicReservationEngine`, so
+    AC-routers treat a failed link exactly like a saturated one — the
+    retrial mechanism then steers requests to other group members,
+    which is the paper's suggested fault-handling extension.
     """
 
     def __init__(self, network: Network, faults: FaultState) -> None:
-        from repro.core.reservation import AtomicReservationEngine
-
+        super().__init__(network)
         self.faults = faults
-        self._inner = AtomicReservationEngine(network)
-
-    @property
-    def attempts(self) -> int:
-        """Reservation attempts made."""
-        return self._inner.attempts
-
-    @property
-    def failures(self) -> int:
-        """Attempts refused (saturation or fault)."""
-        return self._inner.failures
 
     def try_reserve(
         self, route: "Route", flow_id: FlowId, bandwidth_bps: float
     ) -> bool:
         """Reserve unless saturated *or* the route crosses a failure."""
         if not self.faults.path_is_up(route.path):
-            self._inner.attempts += 1
-            self._inner.failures += 1
+            self.attempts += 1
+            self.failures += 1
             return False
-        return self._inner.try_reserve(route, flow_id, bandwidth_bps)
+        return super().try_reserve(route, flow_id, bandwidth_bps)
 
     def release(self, path: Sequence[NodeId], flow_id: FlowId) -> None:
         """Release surviving reservations of a flow along ``path``.
@@ -168,7 +156,7 @@ class FaultAwareReservationEngine:
         After a fault some links may already have dropped the flow, so
         this releases only where the reservation still exists.
         """
-        for link in self._inner.network.path_links(path):
+        for link in self.network.path_links(path):
             link.release_if_held(flow_id)
 
 

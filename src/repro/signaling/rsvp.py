@@ -46,9 +46,9 @@ schedule calls and synchronous race rollback as before.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Hashable, Optional, Sequence
 
+from repro.core.reservation import ReservationOutcome
 from repro.network.link import InsufficientBandwidthError
 from repro.network.routing import Route
 from repro.network.topology import Network
@@ -61,41 +61,6 @@ FlowId = Hashable
 #: Per-hop message processing time (seconds); propagation delay comes
 #: from each link.  Matches small-router forwarding-plane latencies.
 DEFAULT_PROCESSING_DELAY_S = 0.0002
-
-
-@dataclass
-class ReservationOutcome:
-    """Result of one signalled reservation attempt.
-
-    Attributes
-    ----------
-    success:
-        Whether the route is now reserved for the flow.
-    bottleneck_bps:
-        Minimum available bandwidth observed by the RESV sweep
-        (``inf`` if the PATH probe failed before turning around).
-    messages:
-        Total messages transmitted (PATH + RESV + PATH_ERR hops,
-        including retransmissions; TEAR messages are counted by the
-        engine because teardown outlives the attempt).
-    latency_s:
-        Wall-clock simulated time from start to decision.
-    failed_link:
-        The ``(u, v)`` pair that refused, if any.
-    timed_out:
-        Whether the attempt failed because a hop transfer exhausted
-        its retransmissions (robust mode only).
-    retransmissions:
-        Retransmitted messages within the attempt (robust mode only).
-    """
-
-    success: bool
-    bottleneck_bps: float
-    messages: int
-    latency_s: float
-    failed_link: Optional[tuple] = None
-    timed_out: bool = False
-    retransmissions: int = 0
 
 
 class _TearSweep:
@@ -506,6 +471,12 @@ class SignalledReservationEngine:
             or self.leases is not None
         )
 
+    @property
+    def per_attempt_keys(self) -> bool:
+        """Robust attempts reserve under per-attempt keys (see
+        :class:`repro.core.reservation.ReservationEngine`)."""
+        return self.robust
+
     def _count_tear_message(self) -> None:
         self.total_messages += 1
         self.tear_messages += 1
@@ -513,15 +484,15 @@ class SignalledReservationEngine:
     def reserve(
         self,
         route: Route,
-        flow_id: FlowId,
+        key: FlowId,
         bandwidth_bps: float,
-        on_complete: Callable[[ReservationOutcome], None],
+        on_done: Callable[[ReservationOutcome], None],
     ) -> None:
-        """Start a reservation attempt; ``on_complete`` fires later.
+        """Start a reservation attempt; ``on_done`` fires later.
 
-        ``flow_id`` is the reservation key on every link; robust-mode
-        callers pass a per-attempt key (see
-        :class:`repro.signaling.admission.SignalledACRouter`).
+        ``key`` is the reservation key on every link; in robust mode
+        the AC-router passes a per-attempt key (see
+        :attr:`per_attempt_keys`).
         """
         self.attempts += 1
 
@@ -533,13 +504,13 @@ class SignalledReservationEngine:
             self.total_retransmissions += outcome.retransmissions
             if outcome.timed_out:
                 self.timeouts += 1
-            on_complete(outcome)
+            on_done(outcome)
 
         session = RsvpSession(
             self.simulator,
             self.network,
             route,
-            flow_id,
+            key,
             bandwidth_bps,
             record_and_forward,
             processing_delay_s=self.processing_delay_s,
