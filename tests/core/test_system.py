@@ -189,3 +189,41 @@ class TestAdmissionSystemInterface:
         )
         assert system.admission_ratio == 0.0
         assert system.mean_attempts == 0.0
+
+
+class TestSharedReservationEngine:
+    def test_routers_share_the_given_engine(self, group):
+        from repro.signaling.rsvp import SignalledReservationEngine
+        from repro.sim.engine import Simulator
+
+        simulator = Simulator()
+        network = mci_backbone()
+        engine = SignalledReservationEngine(simulator, network)
+        system = build_system(
+            SystemSpec("ED", retrials=2),
+            network,
+            MCI_SOURCES,
+            group,
+            StreamFactory(0),
+            clock=lambda: simulator.now,
+            reservation=engine,
+        )
+        for router in system.routers.values():
+            assert router.reservation is engine
+        # A signalled decision is not ready when admit returns.
+        with pytest.raises(RuntimeError):
+            system.admit(make_request(MCI_SOURCES[0], group))
+
+    def test_gdi_takes_no_engine(self, group):
+        from repro.core.reservation import AtomicReservationEngine
+
+        network = mci_backbone()
+        with pytest.raises(ValueError):
+            build_system(
+                SystemSpec("GDI"),
+                network,
+                MCI_SOURCES,
+                group,
+                StreamFactory(0),
+                reservation=AtomicReservationEngine(network),
+            )
