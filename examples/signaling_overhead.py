@@ -11,11 +11,14 @@ message counts and reservation latencies per admission attempt.
 Run:  python examples/signaling_overhead.py
 """
 
+from repro.core.retrial import ExponentialBackoff
 from repro.experiments.report import format_table
 from repro.flows.group import AnycastGroup
 from repro.network.routing import RouteTable
 from repro.network.topologies import MCI_GROUP_MEMBERS, mci_backbone
+from repro.signaling.channel import RetransmitPolicy, SignalingChannel
 from repro.signaling.rsvp import SignalledReservationEngine
+from repro.signaling.softstate import LeaseTable
 from repro.sim.engine import Simulator
 from repro.sim.random_streams import StreamFactory
 
@@ -25,7 +28,16 @@ def main() -> None:
     source = 9
     network = mci_backbone(capacity_bps=8 * 64_000.0)
     simulator = Simulator()
-    engine = SignalledReservationEngine(simulator, network)
+    # A perfect channel: no loss, so no retransmission timer fires.
+    # Nothing refreshes the leases; once the burst is decided they
+    # expire and the collector frees the links, ending the run.
+    engine = SignalledReservationEngine(
+        simulator,
+        network,
+        channel=SignalingChannel(simulator),
+        retransmit=RetransmitPolicy(ExponentialBackoff(0.05), max_retransmits=4),
+        leases=LeaseTable(simulator, network, ttl_s=60.0, sweep_interval_s=10.0),
+    )
     table = RouteTable(network, source, group.members)
     rng = StreamFactory(5).stream("selection")
 

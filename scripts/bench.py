@@ -2,7 +2,7 @@
 """Substrate microbenchmark runner with a committed perf baseline.
 
 Measures the raw throughput of the simulation substrate — the event
-engine (binary heap and calendar queue), the link reservation hot
+engine (binary heap), the link reservation hot
 path, the WD/D+B bottleneck scan and the reduced-load fixed point —
 and writes the numbers to ``BENCH_substrate.json`` so the performance
 trajectory is tracked PR over PR.
@@ -83,7 +83,7 @@ def bench_engine_chain(n_events: int):
     return n_events, elapsed
 
 
-def bench_engine_hold(n_events: int, population: int, queue: str):
+def bench_engine_hold(n_events: int, population: int):
     """Constant-population timer churn: the loss-network access pattern.
 
     ``population`` timers are pending at all times (like active flows
@@ -92,7 +92,7 @@ def bench_engine_hold(n_events: int, population: int, queue: str):
     a deep pending set, where comparison cost dominates.
     """
     rng = random.Random(20010405)
-    sim = Simulator(queue=queue)
+    sim = Simulator()
 
     def tick():
         sim.schedule(rng.random() * 10.0 + 1e-6, tick)
@@ -261,12 +261,7 @@ def _suite(quick: bool):
         (
             "engine_hold_heap",
             "events/s",
-            lambda: bench_engine_hold(n(100_000), 10_000, "heap"),
-        ),
-        (
-            "engine_hold_calendar",
-            "events/s",
-            lambda: bench_engine_hold(n(100_000), 10_000, "calendar"),
+            lambda: bench_engine_hold(n(100_000), 10_000),
         ),
         (
             "reserve_release",

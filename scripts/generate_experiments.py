@@ -254,8 +254,8 @@ PYTHONPATH=src python scripts/bench.py            # full suite, 3 repeats
 PYTHONPATH=src python scripts/bench.py --quick    # ~5x smaller workloads
 ```
 
-The suite measures: chained and hold-pattern event dispatch (heap and
-calendar queues), route reservation/release churn, the WD/D+B
+The suite measures: chained and hold-pattern event dispatch on the
+binary-heap engine, route reservation/release churn, the WD/D+B
 bottleneck scan, the reduced-load fixed point over a 40-point offered-
 load grid, and an end-to-end WD/D+B simulation.  Each metric is a rate
 (higher is better); the best of `--repeats` runs is kept to suppress

@@ -73,7 +73,6 @@ def quick_run(
     warmup_s: float = 500.0,
     measure_s: float = 2000.0,
     seed: int = 0,
-    queue: str = "heap",
 ) -> SimulationResult:
     """Run the paper's MCI-backbone experiment with sensible defaults.
 
@@ -90,9 +89,6 @@ def quick_run(
         Warm-up and measurement windows in simulated seconds.
     seed:
         Root random seed.
-    queue:
-        Pending-event set implementation (``"heap"`` or
-        ``"calendar"``); results are bit-identical either way.
     """
     workload = WorkloadSpec(
         arrival_rate=arrival_rate,
@@ -106,5 +102,4 @@ def quick_run(
         warmup_s=warmup_s,
         measure_s=measure_s,
         seed=seed,
-        queue=queue,
     )

@@ -49,7 +49,7 @@ class ReservationOutcome:
         The ``(u, v)`` pair that refused, if any.
     timed_out:
         Whether the attempt failed because a hop transfer exhausted
-        its retransmissions (robust signalling only).
+        its retransmissions (signalled engine only).
     retransmissions:
         Retransmitted messages within the attempt.
     """

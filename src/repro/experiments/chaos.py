@@ -64,7 +64,6 @@ def ChaosSimulation(
     measure_s: float = 800.0,
     seed: int = 0,
     batch_size: int = 200,
-    queue: str = "heap",
 ) -> AnycastSimulation:
     """One chaos run: an :class:`AnycastSimulation` with a signalled plane.
 
@@ -78,7 +77,6 @@ def ChaosSimulation(
         measure_s=measure_s,
         seed=seed,
         batch_size=batch_size,
-        queue=queue,
         chaos=chaos,
     )
 
@@ -88,7 +86,6 @@ def run_chaos_point(
     arrival_rate: float,
     config: ExperimentConfig,
     chaos: ChaosConfig,
-    queue: str = "heap",
 ) -> SimulationResult:
     """One system at one arrival rate under one impairment setting."""
     simulation = ChaosSimulation(
@@ -99,7 +96,6 @@ def run_chaos_point(
         warmup_s=config.warmup_s,
         measure_s=config.measure_s,
         seed=config.seed,
-        queue=queue,
     )
     return simulation.run()
 

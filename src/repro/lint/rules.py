@@ -24,9 +24,8 @@ rationale and examples):
     (``state.reserved[i] = ...``) are only legal inside ``network/``.
 ``R4``
     No ``==``/``!=`` on simulation timestamps.  Exact float equality
-    on times is almost always a latent tie-break or NaN bug; the few
-    intentional sites (same-timestamp batching) carry an inline
-    ``# repro-lint: disable=R4``.
+    on times is almost always a latent tie-break or NaN bug; an
+    intentional site carries an inline ``# repro-lint: disable=R4``.
 
 Detection is deliberately syntactic: the rules over-approximate
 (a variable merely *named* like a timestamp triggers R4) and every

@@ -12,22 +12,14 @@ a fixed route in simulated time:
    bottleneck available bandwidth — the route-bandwidth feedback the
    WD/D+B algorithm needs RESV to carry;
 3. if a link refuses (a competing session won the race since the PATH
-   probe), the partial reservations are rolled back and a PATH_ERR is
+   probe), the partial reservations are torn down and a PATH_ERR is
    charged for the remaining distance to the source.
 
-Message counts and latency are recorded so the experiment harness can
-report the true signalling cost of retrials.  Admission probabilities
-are unaffected relative to the atomic engine except for rare races,
-which tests quantify.
-
-Robust mode
------------
-By default every transfer is delivered reliably and instantly trusted
-— the idealization the paper works in.  Passing a
-:class:`repro.signaling.channel.SignalingChannel`, a
-:class:`repro.signaling.channel.RetransmitPolicy` and/or a
-:class:`repro.signaling.softstate.LeaseTable` switches a session into
-*robust mode*:
+Every hop transfer crosses a
+:class:`repro.signaling.channel.SignalingChannel` under a
+:class:`repro.signaling.channel.RetransmitPolicy`, and every installed
+per-link reservation registers a lease in a
+:class:`repro.signaling.softstate.LeaseTable`:
 
 * each hop transfer is guarded by a timer; undelivered messages are
   retransmitted with exponential backoff up to a cap, and receivers
@@ -37,11 +29,17 @@ By default every transfer is delivered reliably and instantly trusted
   loss additionally starts a TEAR sweeping downstream to release the
   partial reservations — through the same unreliable channel, so a
   lost TEAR leaves orphans (which the lease collector later reclaims);
-* every installed per-link reservation registers a soft-state lease.
+* a RESV that loses a race mid-sweep tears its partial reservations
+  the same way, and so does a release of an admitted flow.
 
-Defaults leave every legacy behaviour bit-identical: without channel,
-retransmit policy or lease table, a session performs exactly the same
-schedule calls and synchronous race rollback as before.
+A perfect channel (zero loss, duplication and extra delay) delivers
+every transfer exactly as a direct ``schedule`` would, which is the
+idealization the paper works in.
+
+Message counts and latency are recorded so the experiment harness can
+report the true signalling cost of retrials.  Admission probabilities
+are unaffected relative to the atomic engine except for rare races,
+which tests quantify.
 """
 
 from __future__ import annotations
@@ -75,7 +73,6 @@ class _TearSweep:
     """
 
     __slots__ = (
-        "_simulator",
         "_network",
         "_channel",
         "_path",
@@ -87,16 +84,14 @@ class _TearSweep:
 
     def __init__(
         self,
-        simulator: Simulator,
         network: Network,
-        channel: Optional[SignalingChannel],
+        channel: SignalingChannel,
         path: Sequence,
         flow_id: FlowId,
         processing_delay_s: float,
-        leases: Optional[LeaseTable],
+        leases: LeaseTable,
         on_message: Callable[[], None],
     ) -> None:
-        self._simulator = simulator
         self._network = network
         self._channel = channel
         self._path = tuple(path)
@@ -114,8 +109,7 @@ class _TearSweep:
         path = self._path
         link = self._network.link(path[node_index - 1], path[node_index])
         link.release_if_held(self._flow_id)
-        if self._leases is not None:
-            self._leases.drop_link(self._flow_id, link)
+        self._leases.drop_link(self._flow_id, link)
         self._forward(node_index)
 
     def _forward(self, node_index: int) -> None:
@@ -129,11 +123,7 @@ class _TearSweep:
             return
         self._on_message()
         delay = link.propagation_delay_s + self._processing_delay
-        deliver = lambda: self.release_and_forward(node_index + 1)  # noqa: E731
-        if self._channel is None:
-            self._simulator.schedule(delay, deliver)
-        else:
-            self._channel.send(delay, deliver)
+        self._channel.send(delay, lambda: self.release_and_forward(node_index + 1))
 
 
 class RsvpSession:
@@ -141,22 +131,24 @@ class RsvpSession:
 
     Parameters
     ----------
-    simulator, network, route, flow_id, bandwidth_bps, on_complete:
-        As before; ``flow_id`` doubles as the reservation key on every
-        link (callers running retries over an unreliable plane pass a
-        per-attempt key so a timed-out attempt's orphans never collide
-        with a later attempt).
+    simulator, network, route, bandwidth_bps:
+        The attempt: reserve ``bandwidth_bps`` along ``route``.
+    flow_id:
+        The reservation key on every link.  Callers running retries
+        pass a per-attempt key so a timed-out attempt's orphans never
+        collide with a later attempt.
+    on_complete:
+        Receives the attempt's :class:`ReservationOutcome`.
+    channel:
+        Delivery substrate for every hop transfer (possibly lossy).
+    retransmit:
+        Per-hop timeout/retransmission policy; its timers also let
+        receivers deduplicate copies.
+    leases:
+        Soft-state lease table; every installed per-link reservation
+        is registered under ``flow_id``.
     processing_delay_s:
         Per-hop message processing time.
-    channel:
-        Optional unreliable delivery substrate.  A channel with loss
-        or duplication requires ``retransmit`` (timers provide both
-        recovery and receiver-side deduplication).
-    retransmit:
-        Optional per-hop timeout/retransmission policy.
-    leases:
-        Optional soft-state lease table; every installed per-link
-        reservation is registered under ``flow_id``.
     on_tear_message:
         Invoked once per TEAR transmission (teardown outlives the
         attempt, so these are not in ``ReservationOutcome.messages``).
@@ -170,24 +162,15 @@ class RsvpSession:
         flow_id: FlowId,
         bandwidth_bps: float,
         on_complete: Callable[[ReservationOutcome], None],
+        *,
+        channel: SignalingChannel,
+        retransmit: RetransmitPolicy,
+        leases: LeaseTable,
         processing_delay_s: float = DEFAULT_PROCESSING_DELAY_S,
-        channel: Optional[SignalingChannel] = None,
-        retransmit: Optional[RetransmitPolicy] = None,
-        leases: Optional[LeaseTable] = None,
         on_tear_message: Optional[Callable[[], None]] = None,
     ):
         if bandwidth_bps < 0:
             raise ValueError(f"bandwidth must be non-negative, got {bandwidth_bps}")
-        if (
-            channel is not None
-            and retransmit is None
-            and (channel.loss_rate > 0.0 or channel.duplicate_rate > 0.0)
-        ):
-            raise ValueError(
-                "a channel with loss or duplication requires a "
-                "RetransmitPolicy (timers recover losses and receivers "
-                "deduplicate copies)"
-            )
         self._simulator = simulator
         self._network = network
         self._route = route
@@ -199,13 +182,9 @@ class RsvpSession:
         self._retransmit = retransmit
         self._leases = leases
         self._on_tear_message = on_tear_message
-        self._robust = (
-            channel is not None or retransmit is not None or leases is not None
-        )
         self._messages = 0
         self._retransmissions = 0
         self._started_at = simulator.now
-        self._reserved_links: list = []
 
     # ------------------------------------------------------------------
     def start(self) -> None:
@@ -218,14 +197,8 @@ class RsvpSession:
         self._advance_path(hop_index=0)
 
     # ------------------------------------------------------------------
-    # transfer primitive: one hop, reliable or guarded by timers
+    # transfer primitive: one hop, guarded by timers
     # ------------------------------------------------------------------
-    def _send(self, delay_s: float, deliver: Callable[[], None]) -> None:
-        if self._channel is None:
-            self._simulator.schedule(delay_s, deliver)
-        else:
-            self._channel.send(delay_s, deliver)
-
     def _transfer(
         self,
         delay_s: float,
@@ -234,18 +207,14 @@ class RsvpSession:
     ) -> None:
         """Move one message across one hop.
 
-        Without a retransmit policy this is a single (possibly lossy)
-        transmission.  With one, the sender arms a backoff timer per
-        transmission and retransmits until delivery or the cap;
-        ``on_lost`` fires when the cap is exhausted.  The receiver
-        side deduplicates, so duplicated or straggling copies cannot
-        advance the protocol twice.
+        The sender arms a backoff timer per transmission and
+        retransmits until delivery or the cap; ``on_lost`` fires when
+        the cap is exhausted.  The receiver side deduplicates, so
+        duplicated or straggling copies cannot advance the protocol
+        twice.
         """
         self._messages += 1
         policy = self._retransmit
-        if policy is None:
-            self._send(delay_s, deliver)
-            return
         state = {"done": False, "tries": 0}
         timer_box: list[Optional[Event]] = [None]
 
@@ -276,7 +245,7 @@ class RsvpSession:
             timer_box[0] = self._simulator.schedule(
                 policy.timeout(state["tries"]), timed_out
             )
-            self._send(delay_s, arrive)
+            self._channel.send(delay_s, arrive)
 
         transmit()
 
@@ -330,39 +299,19 @@ class RsvpSession:
         try:
             link.reserve(self._flow_id, self._bandwidth)
         except InsufficientBandwidthError:
-            if self._robust:
-                # Race lost mid-sweep: tear the downstream partial
-                # reservations hop by hop (the TEAR itself may be
-                # lost; leases then cover the orphans) and charge
-                # PATH_ERR messages back to the source.
-                self._messages += node_index
-                if self._reserved_links:
-                    self._reserved_links.clear()
-                    self._start_tear().start_from(node_index)
-                self._finish(
-                    success=False,
-                    bottleneck=bottleneck,
-                    failed_link=(link.source, link.target),
-                )
-                return
-            # Legacy mode: roll back synchronously.  A fault may have
-            # collected one of our legs while the RESV sweep was in
-            # flight, so the rollback must tolerate already-released
-            # links — a strict release would KeyError mid-sweep and
-            # strand every leg after the hole.
-            for reserved in self._reserved_links:
-                reserved.release_if_held(self._flow_id)
-            self._reserved_links.clear()
-            self._messages += node_index  # PATH_ERR to the source
+            # Race lost mid-sweep: tear the downstream partial
+            # reservations hop by hop (the TEAR itself may be lost;
+            # leases then cover the orphans) and charge PATH_ERR
+            # messages back to the source.
+            self._messages += node_index
+            self._start_tear().start_from(node_index)
             self._finish(
                 success=False,
                 bottleneck=bottleneck,
                 failed_link=(link.source, link.target),
             )
             return
-        self._reserved_links.append(link)
-        if self._leases is not None:
-            self._leases.register(self._flow_id, link)
+        self._leases.register(self._flow_id, link)
         bottleneck = min(bottleneck, available_before)
         delay = link.propagation_delay_s + self._processing_delay
         self._transfer(
@@ -378,7 +327,6 @@ class RsvpSession:
         the exchange is dead) and tears the rest downstream; the
         source-side outcome is a timed-out failure.
         """
-        self._reserved_links.clear()
         self._start_tear().release_and_forward(node_index)
         path = self._route.path
         self._finish(
@@ -391,7 +339,6 @@ class RsvpSession:
     def _start_tear(self) -> _TearSweep:
         on_message = self._on_tear_message
         return _TearSweep(
-            self._simulator,
             self._network,
             self._channel,
             self._route.path,
@@ -428,22 +375,25 @@ class SignalledReservationEngine:
     :class:`repro.core.reservation.AtomicReservationEngine`: same
     check-and-reserve semantics, but the decision arrives after the
     round-trip signalling delay, and message/latency totals accumulate
-    for overhead reporting.
-
-    Passing ``channel``/``retransmit``/``leases`` puts every session
-    in robust mode (see the module docstring); releases then travel as
-    hop-by-hop TEAR sweeps through the channel instead of the legacy
-    synchronous ``release_path``.
+    for overhead reporting.  Every session shares the engine's
+    ``channel``, ``retransmit`` policy and ``leases`` (see the module
+    docstring), and releases travel as hop-by-hop TEAR sweeps through
+    the channel.
     """
+
+    #: Attempts reserve under per-attempt keys (see
+    #: :class:`repro.core.reservation.ReservationEngine`).
+    per_attempt_keys = True
 
     def __init__(
         self,
         simulator: Simulator,
         network: Network,
+        *,
+        channel: SignalingChannel,
+        retransmit: RetransmitPolicy,
+        leases: LeaseTable,
         processing_delay_s: float = DEFAULT_PROCESSING_DELAY_S,
-        channel: Optional[SignalingChannel] = None,
-        retransmit: Optional[RetransmitPolicy] = None,
-        leases: Optional[LeaseTable] = None,
     ):
         self.simulator = simulator
         self.network = network
@@ -455,27 +405,12 @@ class SignalledReservationEngine:
         self.failures = 0
         self.total_messages = 0
         self.total_latency_s = 0.0
-        #: retransmitted messages across all attempts (robust mode)
+        #: retransmitted messages across all attempts
         self.total_retransmissions = 0
         #: attempts abandoned because a hop exhausted its retries
         self.timeouts = 0
         #: TEAR transmissions (teardowns outlive their attempts)
         self.tear_messages = 0
-
-    @property
-    def robust(self) -> bool:
-        """Whether sessions run with robustness machinery attached."""
-        return (
-            self.channel is not None
-            or self.retransmit is not None
-            or self.leases is not None
-        )
-
-    @property
-    def per_attempt_keys(self) -> bool:
-        """Robust attempts reserve under per-attempt keys (see
-        :class:`repro.core.reservation.ReservationEngine`)."""
-        return self.robust
 
     def _count_tear_message(self) -> None:
         self.total_messages += 1
@@ -490,9 +425,8 @@ class SignalledReservationEngine:
     ) -> None:
         """Start a reservation attempt; ``on_done`` fires later.
 
-        ``key`` is the reservation key on every link; in robust mode
-        the AC-router passes a per-attempt key (see
-        :attr:`per_attempt_keys`).
+        ``key`` is the reservation key on every link; the AC-router
+        passes a per-attempt key (see :attr:`per_attempt_keys`).
         """
         self.attempts += 1
 
@@ -524,17 +458,11 @@ class SignalledReservationEngine:
     def release(self, path: Sequence, flow_id: FlowId) -> None:
         """Tear down a reservation; TEAR messages are charged.
 
-        Legacy mode releases synchronously (the idealized instant
-        teardown).  Robust mode launches a hop-by-hop TEAR sweep
-        through the channel: each delivered hop releases its leg, and
-        a lost TEAR strands the rest for the lease collector.
+        A hop-by-hop TEAR sweep travels through the channel: each
+        delivered hop releases its leg, and a lost TEAR strands the
+        rest for the lease collector.
         """
-        if not self.robust:
-            self.network.release_path(path, flow_id)
-            self.total_messages += max(0, len(path) - 1)
-            return
         _TearSweep(
-            self.simulator,
             self.network,
             self.channel,
             path,

@@ -41,8 +41,8 @@ from repro.network.link import Link
 from repro.network.topology import Network
 from repro.sim.engine import Event, Simulator
 
-#: A reservation key: the flow id itself, or a per-attempt tuple when
-#: the robust signalling mode isolates attempts from each other.
+#: A reservation key: the per-attempt ``(flow_id, attempt)`` tuple the
+#: signalled engine isolates attempts with, or any hashable flow id.
 LeaseKey = Hashable
 
 

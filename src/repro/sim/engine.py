@@ -6,17 +6,13 @@ arbitrary units (the anycast model uses seconds).  Events are callbacks
 scheduled at absolute times and executed in non-decreasing time order;
 ties are broken by insertion order so runs are fully deterministic.
 
-Two pending-event set implementations are available: a binary heap
-(default; O(log n), simple and cache-friendly) and Brown's calendar
-queue (:mod:`repro.sim.calendar`; amortized O(1) for stationary event
-populations).  Both produce identical execution orders.
-
-The hot path is batched: the event loop asks the pending-event set for
-the whole *run* of events sharing the earliest timestamp
-(``pop_run_into``) and dispatches them without re-entering the queue's
-bookkeeping per event.  The heap keys its entries by ``(time,
-sequence)`` tuples so every sift comparison happens in C rather than
-through ``Event.__lt__``.
+The pending-event set is one binary heap owned by the
+:class:`Simulator`.  Its entries are ``(time, sequence, event)``
+tuples, so every sift comparison is resolved in C and never calls back
+into Python; with thousands of pending departure timers (the steady
+state of every loss-network sweep) this keeps comparison cost out of
+the profile.  A same-timestamp run of events is just consecutive pops,
+so one dispatch loop serves every caller.
 
 Example
 -------
@@ -33,9 +29,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import deque
 from heapq import heappop, heappush
-from typing import Any, Callable, MutableSequence, Optional, Protocol
+from typing import Any, Callable, Optional
 
 from repro import invariants as _invariants
 
@@ -50,19 +45,13 @@ class SimulationError(RuntimeError):
     """
 
 
-class _EventOwner(Protocol):
-    """A pending-event set that tracks its live-event count."""
-
-    def _note_cancelled(self) -> None: ...
-
-
 class Event:
     """A scheduled callback, returned by :meth:`Simulator.schedule`.
 
     Events support O(1) cancellation: cancelling marks the event dead
-    and the event loop skips it when it surfaces in the queue.  The
-    owning pending-event set is notified so its live-event counter
-    stays exact without scanning.
+    and the event loop skips it when it surfaces in the heap.  The
+    owning simulator's live-event counter is decremented so
+    :attr:`Simulator.pending_count` stays exact without scanning.
 
     Attributes
     ----------
@@ -72,16 +61,18 @@ class Event:
         Zero-argument callable invoked at ``time``.
     """
 
-    __slots__ = ("time", "callback", "_sequence", "_cancelled", "_owner")
+    __slots__ = ("time", "callback", "_cancelled", "_owner")
 
     def __init__(
-        self, time: float, callback: Callable[[], Any], sequence: int
+        self,
+        time: float,
+        callback: Callable[[], Any],
+        owner: Optional["Simulator"] = None,
     ) -> None:
         self.time = time
         self.callback = callback
-        self._sequence = sequence
         self._cancelled = False
-        self._owner: Optional[_EventOwner] = None
+        self._owner = owner
 
     def cancel(self) -> None:
         """Prevent the event from firing.  Idempotent."""
@@ -91,174 +82,49 @@ class Event:
         owner = self._owner
         if owner is not None:
             self._owner = None
-            owner._note_cancelled()
+            owner._live -= 1
 
     @property
     def cancelled(self) -> bool:
         """Whether :meth:`cancel` has been called."""
         return self._cancelled
 
-    def __lt__(self, other: "Event") -> bool:
-        # Exact equality is the tie-break trigger here, by design.
-        if self.time != other.time:  # repro-lint: disable=R4
-            return self.time < other.time
-        return self._sequence < other._sequence
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self._cancelled else "pending"
         return f"Event(t={self.time:.6g}, {state})"
 
 
-class HeapQueue:
-    """Binary-heap pending-event set (the default).
-
-    Entries are ``(time, sequence, event)`` tuples rather than bare
-    :class:`Event` objects: tuple comparison is resolved in C, so the
-    O(log n) sift per push/pop never calls back into Python.  With
-    thousands of pending departure timers (the steady state of every
-    loss-network sweep) this is the difference between comparison cost
-    dominating the run and disappearing from the profile.
-    """
-
-    __slots__ = ("_heap", "_live")
-
-    def __init__(self) -> None:
-        self._heap: list[tuple[float, int, Event]] = []
-        self._live = 0
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def push(self, event: Event) -> None:
-        """Insert an event."""
-        event._owner = self
-        self._live += 1
-        heappush(self._heap, (event.time, event._sequence, event))
-
-    def pop_min(self) -> Optional[Event]:
-        """Remove and return the earliest live event (``None`` if empty)."""
-        heap = self._heap
-        while heap:
-            event = heappop(heap)[2]
-            if not event._cancelled:
-                event._owner = None
-                self._live -= 1
-                return event
-        return None
-
-    def pop_run_into(
-        self, out: MutableSequence[Event], until: Optional[float] = None
-    ) -> int:
-        """Pop the earliest same-timestamp run of live events into ``out``.
-
-        Appends every live event whose time equals the earliest pending
-        timestamp (insertion order preserved) and returns how many were
-        appended.  Returns 0 — popping nothing — when the queue is
-        empty or the earliest event fires strictly after ``until``.
-        """
-        heap = self._heap
-        append = out.append
-        while heap:
-            time, _, event = heap[0]
-            if event._cancelled:
-                heappop(heap)
-                continue
-            if until is not None and time > until:
-                return 0
-            heappop(heap)
-            event._owner = None
-            append(event)
-            count = 1
-            # Same-timestamp batching: exact equality is the contract.
-            while heap and heap[0][0] == time:  # repro-lint: disable=R4
-                event = heappop(heap)[2]
-                if event._cancelled:
-                    continue
-                event._owner = None
-                append(event)
-                count += 1
-            self._live -= count
-            return count
-        return 0
-
-    def peek_time(self) -> Optional[float]:
-        """Timestamp of the earliest live event, or ``None``."""
-        heap = self._heap
-        while heap:
-            entry = heap[0]
-            if entry[2]._cancelled:
-                heappop(heap)
-            else:
-                return entry[0]
-        return None
-
-    def clear(self) -> None:
-        """Drop every pending event."""
-        for entry in self._heap:
-            entry[2]._owner = None
-        self._heap.clear()
-        self._live = 0
-
-    def live_count(self) -> int:
-        """Number of pending, not-cancelled events (O(1))."""
-        return self._live
-
-    def _note_cancelled(self) -> None:
-        """A still-queued event was cancelled (called by the event)."""
-        self._live -= 1
-
-
-def _make_queue(kind: str) -> "HeapQueue | CalendarQueue":
-    if kind == "heap":
-        return HeapQueue()
-    if kind == "calendar":
-        from repro.sim.calendar import CalendarQueue
-
-        return CalendarQueue()
-    raise SimulationError(f"unknown queue kind {kind!r}; use 'heap' or 'calendar'")
-
-
 class Simulator:
     """Deterministic event-scheduled discrete-event simulator.
 
-    The simulator maintains a pending-event set of :class:`Event`
-    objects.  :meth:`run` repeatedly pops the earliest event, advances
-    the clock to its timestamp and invokes its callback.  Callbacks may
-    schedule further events.
+    The simulator keeps its pending events in a binary heap.
+    :meth:`run` repeatedly pops the earliest event, advances the clock
+    to its timestamp and invokes its callback.  Callbacks may schedule
+    further events.
 
     Parameters
     ----------
     start_time:
         Initial value of the simulation clock (default ``0.0``).
-    queue:
-        Pending-event set implementation: ``"heap"`` (default) or
-        ``"calendar"`` (Brown's calendar queue).  Execution order is
-        identical; only the performance profile differs.
     check_invariants:
         Enable the runtime sanitizer for this simulator: every
-        dispatched event batch is verified for time monotonicity and
-        same-timestamp coherence (see :mod:`repro.invariants`).
-        Defaults to the process-wide switch
-        (``REPRO_CHECK_INVARIANTS=1``).  Execution order is identical
-        with the sanitizer on or off — the golden determinism tests
-        run both ways.
+        dispatched event is verified never to move time backwards
+        (see :mod:`repro.invariants`).  Defaults to the process-wide
+        switch (``REPRO_CHECK_INVARIANTS=1``).  Execution order is
+        identical with the sanitizer on or off — the golden
+        determinism tests run both ways.
     """
 
     def __init__(
         self,
         start_time: float = 0.0,
-        queue: str = "heap",
         check_invariants: Optional[bool] = None,
     ) -> None:
         self._now = float(start_time)
-        self._queue = _make_queue(queue)
-        self._push = self._queue.push
-        # Direct reference to the heap list when the default queue is
-        # in use: schedule() then pushes without a method call.
-        queue_impl = self._queue
-        self._heap_fast: Optional[list[tuple[float, int, Event]]] = (
-            queue_impl._heap if isinstance(queue_impl, HeapQueue) else None
-        )
+        self._heap: list[tuple[float, int, Event]] = []
+        # Scheduled, not-yet-cancelled, not-yet-fired events; cancelled
+        # entries stay in the heap until they surface.
+        self._live = 0
         self._check = (
             _invariants.enabled
             if check_invariants is None
@@ -268,10 +134,6 @@ class Simulator:
         self._running = False
         self._stopped = False
         self._events_executed = 0
-        # The same-timestamp run currently being dispatched.  Non-empty
-        # outside run() only when stop()/max_events aborted mid-run;
-        # the next run() resumes from it so no event is lost.
-        self._batch: deque[Event] = deque()
 
     # ------------------------------------------------------------------
     # clock and queue inspection
@@ -288,18 +150,18 @@ class Simulator:
 
     @property
     def pending_count(self) -> int:
-        """Number of scheduled, not-yet-cancelled events."""
-        live = self._queue.live_count()
-        if self._batch:
-            live += sum(1 for event in self._batch if not event._cancelled)
-        return live
+        """Number of scheduled, not-yet-cancelled events (O(1))."""
+        return self._live
 
     def peek(self) -> Optional[float]:
         """Return the time of the next live event, or ``None`` if empty."""
-        for event in self._batch:
-            if not event._cancelled:
-                return event.time
-        return self._queue.peek_time()
+        heap = self._heap
+        while heap:
+            entry = heap[0]
+            if not entry[2]._cancelled:
+                return entry[0]
+            heappop(heap)
+        return None
 
     # ------------------------------------------------------------------
     # scheduling
@@ -324,22 +186,17 @@ class Simulator:
         SimulationError
             If ``delay`` is negative or not finite.
         """
-        time = self._now + float(delay)
-        if self._now <= time < _INF:  # NaN fails the <= test
-            sequence = next(self._sequence)
-            event = Event(time, callback, sequence)
-            heap = self._heap_fast
-            if heap is not None:
-                queue = self._queue
-                event._owner = queue
-                queue._live += 1
-                heappush(heap, (time, sequence, event))
-            else:
-                self._push(event)
+        delay = float(delay)
+        time = self._now + delay
+        # NaN fails the >= test; +inf and overflow fail the < test.
+        if delay >= 0.0 and time < _INF:
+            event = Event(time, callback, self)
+            self._live += 1
+            heappush(self._heap, (time, next(self._sequence), event))
             return event
-        # Invalid delay: delegate to schedule_at for the exact checks
-        # and error messages (cold path).
-        return self.schedule_at(time, callback)
+        raise SimulationError(
+            f"delay must be non-negative and finite, got {delay!r}"
+        )
 
     def schedule_at(self, time: float, callback: Callable[[], Any]) -> Event:
         """Schedule ``callback`` at absolute simulation ``time``.
@@ -353,8 +210,9 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule event at {time} before current time {self._now}"
             )
-        event = Event(time, callback, next(self._sequence))
-        self._push(event)
+        event = Event(time, callback, self)
+        self._live += 1
+        heappush(self._heap, (time, next(self._sequence), event))
         return event
 
     # ------------------------------------------------------------------
@@ -369,25 +227,20 @@ class Simulator:
             ``True`` if an event was executed, ``False`` if the
             calendar was empty.
         """
-        event = None
-        batch = self._batch
-        while batch:
-            candidate = batch.popleft()
-            if not candidate._cancelled:
-                event = candidate
-                break
-        if event is None:
-            event = self._queue.pop_min()
-            if event is None:
-                return False
-        if self._check:
-            _invariants.check_time_monotonic(
-                self._now, event.time, "Simulator.step"
-            )
-        self._now = event.time
-        self._events_executed += 1
-        event.callback()
-        return True
+        heap = self._heap
+        while heap:
+            time, _, event = heappop(heap)
+            if event._cancelled:
+                continue
+            event._owner = None
+            self._live -= 1
+            if self._check:
+                _invariants.check_time_monotonic(self._now, time, "Simulator.step")
+            self._now = time
+            self._events_executed += 1
+            event.callback()
+            return True
+        return False
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
         """Run the event loop.
@@ -412,77 +265,36 @@ class Simulator:
         self._running = True
         self._stopped = False
         executed = 0
-        queue = self._queue
-        batch = self._batch
+        heap = self._heap
+        check = self._check
         horizon = _INF if until is None else until
         budget = _INF if max_events is None else max_events
         try:
-            if type(queue) is HeapQueue and not batch and not self._check:
-                # Fast path: dispatch straight off the heap list.  The
-                # order is identical to the batched path below — a
-                # same-timestamp run is just consecutive pops — but no
-                # per-event method call or batch staging remains.
-                heap = queue._heap
-                while heap and not self._stopped and executed < budget:
-                    time, _, event = heap[0]
-                    if event._cancelled:
-                        heappop(heap)
-                        continue
-                    if time > horizon:
-                        break
+            # An event leaves the heap only when it fires, so a run cut
+            # short by stop() or max_events resumes exactly where it
+            # left off, even inside a same-timestamp run.
+            while heap and not self._stopped and executed < budget:
+                time, _, event = heap[0]
+                if event._cancelled:
                     heappop(heap)
-                    event._owner = None
-                    queue._live -= 1
-                    self._now = time
-                    self._events_executed += 1
-                    event.callback()
-                    executed += 1
-            else:
-                pop_run = queue.pop_run_into
-                aborted = False
-                while True:
-                    if not batch and not pop_run(batch, until):
-                        break
-                    # All events in a run share one timestamp; a
-                    # leftover run from an aborted previous call may
-                    # lie past a tighter `until` and must not execute.
-                    if batch and batch[0].time > horizon:
-                        break
-                    if self._check and batch:
-                        self._verify_batch(batch)
-                    while batch:
-                        event = batch.popleft()
-                        if event._cancelled:
-                            continue
-                        self._now = event.time
-                        self._events_executed += 1
-                        event.callback()
-                        executed += 1
-                        if self._stopped or executed >= budget:
-                            aborted = True
-                            break
-                    if aborted:
-                        break
+                    continue
+                if time > horizon:
+                    break
+                heappop(heap)
+                event._owner = None
+                self._live -= 1
+                if check:
+                    _invariants.check_time_monotonic(self._now, time, "Simulator.run")
+                self._now = time
+                self._events_executed += 1
+                event.callback()
+                executed += 1
         finally:
             self._running = False
         if until is not None and self._now < until and not self._stopped:
-            if not any(not event._cancelled for event in batch):
-                next_time = queue.peek_time()
-                if next_time is None or next_time > until:
-                    self._now = until
-
-    def _verify_batch(self, batch: "deque[Event]") -> None:
-        """Sanitizer: a run must be coherent and never move time back."""
-        run_time = batch[0].time
-        _invariants.check_time_monotonic(
-            self._now, run_time, "Simulator.run"
-        )
-        for event in batch:
-            if event.time != run_time:  # repro-lint: disable=R4
-                raise _invariants.InvariantViolation(
-                    f"same-timestamp run mixes times {run_time!r} "
-                    f"and {event.time!r}"
-                )
+            next_time = self.peek()
+            if next_time is None or next_time > until:
+                self._now = until
 
     def stop(self) -> None:
         """Request that :meth:`run` return after the current event."""
@@ -490,8 +302,10 @@ class Simulator:
 
     def clear(self) -> None:
         """Cancel all pending events and empty the calendar."""
-        self._queue.clear()
-        self._batch.clear()
+        for entry in self._heap:
+            entry[2]._owner = None
+        self._heap.clear()
+        self._live = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -178,11 +178,6 @@ class AnycastSimulation:
     trace:
         Optional :class:`repro.sim.trace.TraceRecorder` capturing a
         per-request record of every decision in the measurement window.
-    queue:
-        Pending-event set implementation passed through to
-        :class:`repro.sim.engine.Simulator`: ``"heap"`` (default) or
-        ``"calendar"``.  Results are bit-identical either way; only
-        the performance profile differs.
     chaos:
         Optional unreliable signalling plane: admissions run RSVP-lite
         over a lossy channel, admitted flows refresh soft-state leases,
@@ -201,7 +196,6 @@ class AnycastSimulation:
         batch_size: int = 200,
         fault_config: Optional[FaultConfig] = None,
         trace: Optional["TraceRecorder"] = None,
-        queue: str = "heap",
         chaos: Optional[ChaosConfig] = None,
     ) -> None:
         if warmup_s < 0 or measure_s <= 0:
@@ -226,7 +220,7 @@ class AnycastSimulation:
         self.seed = seed
         self.chaos = chaos
         self.streams = StreamFactory(seed)
-        self.simulator = Simulator(queue=queue)
+        self.simulator = Simulator()
         self.channel: Optional[SignalingChannel] = None
         self.leases: Optional[LeaseTable] = None
         self.fault_state: Optional[FaultState] = None
@@ -483,7 +477,6 @@ def run_simulation(
     warmup_s: float = 1000.0,
     measure_s: float = 4000.0,
     seed: int = 0,
-    queue: str = "heap",
 ) -> SimulationResult:
     """Convenience wrapper: build and run one atomic :class:`AnycastSimulation`."""
     simulation = AnycastSimulation(
@@ -493,6 +486,5 @@ def run_simulation(
         warmup_s=warmup_s,
         measure_s=measure_s,
         seed=seed,
-        queue=queue,
     )
     return simulation.run()

@@ -196,9 +196,13 @@ class TestSharedReservationEngine:
         from repro.signaling.rsvp import SignalledReservationEngine
         from repro.sim.engine import Simulator
 
+        from tests.signaling.perfect_plane import perfect_plane
+
         simulator = Simulator()
         network = mci_backbone()
-        engine = SignalledReservationEngine(simulator, network)
+        engine = SignalledReservationEngine(
+            simulator, network, **perfect_plane(simulator, network)
+        )
         system = build_system(
             SystemSpec("ED", retrials=2),
             network,

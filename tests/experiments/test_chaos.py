@@ -90,18 +90,6 @@ class TestDeterminism:
 
         assert run() == run()
 
-    def test_queue_implementations_agree(self):
-        def run(queue):
-            return run_chaos_point(
-                SystemSpec("WD/D+B", retrials=2),
-                20.0,
-                small_config(),
-                ChaosConfig(loss_rate=0.1),
-                queue=queue,
-            )
-
-        assert run("heap") == run("calendar")
-
 
 class TestConfigValidation:
     def test_loss_rate_bounds(self):

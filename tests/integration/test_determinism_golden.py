@@ -28,11 +28,8 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("queue", ["heap", "calendar"])
 @pytest.mark.parametrize("algorithm", sorted(GOLDEN))
-def test_golden_results_are_stable(algorithm, queue):
-    # Both pending-event set implementations must reproduce the same
-    # pinned values: execution order is part of the contract.
+def test_golden_results_are_stable(algorithm):
     result = repro.quick_run(
         algorithm,
         retrials=2,
@@ -40,7 +37,6 @@ def test_golden_results_are_stable(algorithm, queue):
         warmup_s=50.0,
         measure_s=200.0,
         seed=20010405,
-        queue=queue,
     )
     requests, admitted, mean_attempts = GOLDEN[algorithm]
     assert result.requests == requests
@@ -67,9 +63,8 @@ SIGNALLED_GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("queue", ["heap", "calendar"])
 @pytest.mark.parametrize("algorithm, loss_rate", sorted(SIGNALLED_GOLDEN))
-def test_signalled_golden_results_are_stable(algorithm, loss_rate, queue):
+def test_signalled_golden_results_are_stable(algorithm, loss_rate):
     result = ChaosSimulation(
         network_factory=mci_backbone,
         system_spec=SystemSpec(algorithm, retrials=2),
@@ -82,7 +77,6 @@ def test_signalled_golden_results_are_stable(algorithm, loss_rate, queue):
         warmup_s=50.0,
         measure_s=200.0,
         seed=20010405,
-        queue=queue,
     ).run()
     requests, admitted, mean_attempts, messages, retransmissions, orphans = (
         SIGNALLED_GOLDEN[(algorithm, loss_rate)]

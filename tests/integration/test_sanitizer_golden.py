@@ -2,8 +2,7 @@
 
 The sanitizer (:mod:`repro.invariants`) must be purely observational:
 with every invariant hook firing, the pinned golden results and the
-serial-vs-parallel bit-identity contract must hold unchanged, on both
-pending-event set implementations.
+serial-vs-parallel bit-identity contract must hold unchanged.
 """
 
 import os
@@ -31,9 +30,8 @@ def sanitizer_everywhere(monkeypatch):
     invariants.set_enabled(previous)
 
 
-@pytest.mark.parametrize("queue", ["heap", "calendar"])
 @pytest.mark.parametrize("algorithm", sorted(GOLDEN))
-def test_golden_results_survive_sanitizer(algorithm, queue, sanitizer_everywhere):
+def test_golden_results_survive_sanitizer(algorithm, sanitizer_everywhere):
     result = repro.quick_run(
         algorithm,
         retrials=2,
@@ -41,7 +39,6 @@ def test_golden_results_survive_sanitizer(algorithm, queue, sanitizer_everywhere
         warmup_s=50.0,
         measure_s=200.0,
         seed=20010405,
-        queue=queue,
     )
     requests, admitted, mean_attempts = GOLDEN[algorithm]
     assert result.requests == requests

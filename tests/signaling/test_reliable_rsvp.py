@@ -1,4 +1,4 @@
-"""Robust-mode RSVP tests: loss recovery, teardown, soft-state GC.
+"""RSVP-lite reliability tests: loss recovery, teardown, soft-state GC.
 
 Uses a test-local ``ScriptedChannel`` that drops exact transmission
 indices, so every scenario (which copy is lost, which TEAR leg
@@ -7,13 +7,12 @@ vanishes) is constructed deterministically rather than sampled.
 
 import pytest
 
-from repro.core.retrial import ExponentialBackoff
 from repro.network.routing import Route
 from repro.network.topologies import line
-from repro.signaling.channel import RetransmitPolicy, SignalingChannel
 from repro.signaling.rsvp import RsvpSession, SignalledReservationEngine
 from repro.signaling.softstate import LeaseTable
-from repro.sim.random_streams import StreamFactory
+
+from tests.signaling.perfect_plane import perfect_plane, retransmit_policy
 
 ROUTE = Route(source=0, destination=3, path=(0, 1, 2, 3))
 
@@ -29,8 +28,6 @@ class ScriptedChannel:
     def __init__(self, simulator, drop_indices=()):
         self._simulator = simulator
         self._drop = set(drop_indices)
-        self.loss_rate = 0.5  # forces the retransmit-policy requirement
-        self.duplicate_rate = 0.0
         self.sent = 0
         self.dropped = 0
 
@@ -43,68 +40,34 @@ class ScriptedChannel:
         self._simulator.schedule(delay_s, deliver)
 
 
-def policy(max_retransmits=3):
-    return RetransmitPolicy(
-        ExponentialBackoff(0.05, factor=2.0, max_timeout_s=1.0),
-        max_retransmits=max_retransmits,
-    )
+#: Run bound covering every retransmission schedule below (at most
+#: 50 + 100 + 200 + 400 ms of timeouts), before the perfect plane's
+#: leases expire.
+SETTLE_S = 5.0
 
 
-def run_robust(
-    simulator,
-    network,
-    channel,
-    retransmit=None,
-    leases=None,
-    flow_id="f1",
-    bandwidth=64_000.0,
-):
+def run_robust(simulator, network, channel, **plane):
     outcomes = []
     session = RsvpSession(
         simulator,
         network,
         ROUTE,
-        flow_id,
-        bandwidth,
+        "f1",
+        64_000.0,
         outcomes.append,
-        channel=channel,
-        retransmit=retransmit,
-        leases=leases,
+        **perfect_plane(simulator, network, channel=channel, **plane),
     )
     session.start()
-    simulator.run()
+    simulator.run(until=SETTLE_S)
     assert len(outcomes) == 1
     return outcomes[0]
-
-
-class TestValidation:
-    def test_lossy_channel_requires_retransmit(self, simulator, network):
-        channel = SignalingChannel(
-            simulator,
-            loss_rate=0.1,
-            loss_rng=StreamFactory(0).stream("loss"),
-        )
-        with pytest.raises(ValueError):
-            RsvpSession(
-                simulator, network, ROUTE, "f", 64_000.0, lambda o: None,
-                channel=channel,
-            )
-
-    def test_delay_only_channel_needs_no_retransmit(self, simulator, network):
-        channel = SignalingChannel(
-            simulator,
-            extra_delay_s=0.01,
-            delay_rng=StreamFactory(0).stream("delay"),
-        )
-        outcome = run_robust(simulator, network, channel)
-        assert outcome.success
 
 
 class TestLossRecovery:
     def test_lost_path_is_retransmitted(self, simulator, network):
         # Transmission 0 is the first PATH hop; drop it once.
         channel = ScriptedChannel(simulator, drop_indices={0})
-        outcome = run_robust(simulator, network, channel, retransmit=policy())
+        outcome = run_robust(simulator, network, channel)
         assert outcome.success
         assert outcome.retransmissions == 1
         # The timeout (50 ms) dominates the hop delay budget.
@@ -115,13 +78,13 @@ class TestLossRecovery:
     def test_lost_resv_is_retransmitted(self, simulator, network):
         # 3 PATH transmissions (0, 1, 2); index 3 is the first RESV leg.
         channel = ScriptedChannel(simulator, drop_indices={3})
-        outcome = run_robust(simulator, network, channel, retransmit=policy())
+        outcome = run_robust(simulator, network, channel)
         assert outcome.success
         assert outcome.retransmissions == 1
 
     def test_messages_include_retransmissions(self, simulator, network):
         channel = ScriptedChannel(simulator, drop_indices={0, 1})
-        outcome = run_robust(simulator, network, channel, retransmit=policy())
+        outcome = run_robust(simulator, network, channel)
         assert outcome.success
         # 6 protocol messages + 2 retransmitted copies.
         assert outcome.messages == 8
@@ -133,7 +96,10 @@ class TestGiveUp:
         # Kill the first PATH hop and all its retransmissions.
         channel = ScriptedChannel(simulator, drop_indices={0, 1, 2})
         outcome = run_robust(
-            simulator, network, channel, retransmit=policy(max_retransmits=2)
+            simulator,
+            network,
+            channel,
+            retransmit=retransmit_policy(max_retransmits=2),
         )
         assert not outcome.success
         assert outcome.timed_out
@@ -151,7 +117,7 @@ class TestGiveUp:
             simulator,
             network,
             channel,
-            retransmit=policy(max_retransmits=1),
+            retransmit=retransmit_policy(max_retransmits=1),
             leases=leases,
         )
         assert not outcome.success
@@ -177,7 +143,7 @@ class TestGiveUp:
             64_000.0,
             outcomes.append,
             channel=channel,
-            retransmit=policy(max_retransmits=1),
+            retransmit=retransmit_policy(max_retransmits=1),
             leases=leases,
         )
         session.start()
@@ -196,8 +162,6 @@ class TestDeduplication:
 
         def __init__(self, simulator):
             self._simulator = simulator
-            self.loss_rate = 0.0
-            self.duplicate_rate = 0.5  # forces the retransmit requirement
             self.sent = 0
 
         def send(self, delay_s, deliver):
@@ -207,7 +171,7 @@ class TestDeduplication:
 
     def test_duplicates_do_not_double_reserve(self, simulator, network):
         channel = self.DuplicatingChannel(simulator)
-        outcome = run_robust(simulator, network, channel, retransmit=policy())
+        outcome = run_robust(simulator, network, channel)
         assert outcome.success
         assert outcome.retransmissions == 0
         # Exactly one reservation per link despite double delivery.
@@ -219,17 +183,17 @@ class TestDeduplication:
 class TestRobustEngine:
     def test_release_tears_through_channel(self, simulator, network):
         channel = ScriptedChannel(simulator, drop_indices=set())
-        engine = SignalledReservationEngine(
-            simulator, network, channel=channel, retransmit=policy()
-        )
+        plane = perfect_plane(simulator, network, channel=channel)
+        engine = SignalledReservationEngine(simulator, network, **plane)
         outcomes = []
         engine.reserve(ROUTE, "f", 64_000.0, outcomes.append)
-        simulator.run()
+        simulator.run(until=SETTLE_S)
         assert outcomes[0].success
         engine.release(ROUTE.path, "f")
         simulator.run()
         assert network.total_reserved_bps() == 0.0
         assert engine.tear_messages == 3
+        assert plane["leases"].orphans_collected == 0
 
     def test_lost_release_tear_falls_back_to_lease(self, simulator, network):
         leases = LeaseTable(simulator, network, ttl_s=5.0, sweep_interval_s=1.0)
@@ -238,12 +202,12 @@ class TestRobustEngine:
             simulator,
             network,
             channel=channel,
-            retransmit=policy(),
+            retransmit=retransmit_policy(),
             leases=leases,
         )
         outcomes = []
         engine.reserve(ROUTE, "f", 64_000.0, outcomes.append)
-        simulator.run()
+        simulator.run(until=1.0)  # bounded: before the TTL expires
         assert outcomes[0].success
         # Drop the second TEAR leg: links (1,2) and (2,3) stay held.
         channel._drop.add(channel.sent + 1)

@@ -7,6 +7,8 @@ from repro.network.topologies import line
 from repro.signaling.rsvp import RsvpSession, SignalledReservationEngine
 from repro.sim.engine import Simulator
 
+from tests.signaling.perfect_plane import LEASE_TTL_S, perfect_plane
+
 
 @pytest.fixture
 def network():
@@ -16,14 +18,24 @@ def network():
 
 ROUTE = Route(source=0, destination=3, path=(0, 1, 2, 3))
 
+#: Run bound for inspecting reservations: well past one exchange,
+#: well before the lease collector's first sweep.
+SETTLE_S = 1.0
+
 
 def run_session(simulator, network, route, flow_id, bandwidth):
     outcomes = []
     session = RsvpSession(
-        simulator, network, route, flow_id, bandwidth, outcomes.append
+        simulator,
+        network,
+        route,
+        flow_id,
+        bandwidth,
+        outcomes.append,
+        **perfect_plane(simulator, network),
     )
     session.start()
-    simulator.run()
+    simulator.run(until=SETTLE_S)
     assert len(outcomes) == 1
     return outcomes[0]
 
@@ -81,30 +93,37 @@ class TestFailedReservation:
 
     def test_race_rolls_back_partial_reservations(self, network):
         simulator = Simulator()
+        plane = perfect_plane(simulator, network)
         outcomes = []
         session = RsvpSession(
-            simulator, network, ROUTE, "f1", 64_000.0, outcomes.append
+            simulator, network, ROUTE, "f1", 64_000.0, outcomes.append, **plane
         )
         session.start()
         # Let the PATH probe pass, then steal link (0,1) before the RESV
         # sweep reaches it (RESV reserves 2->3 then 1->2 then 0->1).
         simulator.schedule(0.004, lambda: network.link(0, 1).reserve("thief", 64_000.0))
-        simulator.run()
+        simulator.run(until=SETTLE_S)
         assert len(outcomes) == 1
         assert not outcomes[0].success
         assert outcomes[0].failed_link == (0, 1)
+        # The TEAR released the partial reservations, not the collector.
         assert not any(link.holds("f1") for link in network.links())
         assert network.link(0, 1).holds("thief")
+        network.link(0, 1).release("thief")
+        simulator.run()
+        assert not any(link.holds("f1") for link in network.links())
+        assert plane["leases"].orphans_collected == 0
 
     def test_race_rollback_tolerates_fault_collected_leg(self, network):
-        # Legacy-mode rollback regression (lint rule R5): while the
-        # RESV sweep holds (2,3) and (1,2), a fault collects (2,3) and
-        # a rival grabs (0,1).  The synchronous rollback must not
-        # KeyError on the missing leg and strand (1,2).
+        # Rollback regression (lint rule R5): while the RESV sweep
+        # holds (2,3) and (1,2), a fault collects (2,3) and a rival
+        # grabs (0,1).  The rollback must not trip over the missing
+        # leg and strand (1,2).
         simulator = Simulator()
+        plane = perfect_plane(simulator, network)
         outcomes = []
         session = RsvpSession(
-            simulator, network, ROUTE, "f1", 64_000.0, outcomes.append
+            simulator, network, ROUTE, "f1", 64_000.0, outcomes.append, **plane
         )
         session.start()
 
@@ -113,26 +132,44 @@ class TestFailedReservation:
             network.link(0, 1).reserve("thief", 64_000.0)
 
         simulator.schedule(0.0045, fault_and_steal)
-        simulator.run()
+        simulator.run(until=SETTLE_S)
         assert len(outcomes) == 1
         assert not outcomes[0].success
         assert outcomes[0].failed_link == (0, 1)
         assert not any(link.holds("f1") for link in network.links())
         assert network.link(0, 1).holds("thief")
+        network.link(0, 1).release("thief")
+        simulator.run()
+        assert not any(link.holds("f1") for link in network.links())
+        assert network.total_reserved_bps() == 0.0
 
     def test_invalid_bandwidth_rejected(self, simulator, network):
         with pytest.raises(ValueError):
-            RsvpSession(simulator, network, ROUTE, "f1", -1.0, lambda o: None)
+            RsvpSession(
+                simulator,
+                network,
+                ROUTE,
+                "f1",
+                -1.0,
+                lambda o: None,
+                **perfect_plane(simulator, network),
+            )
+
+
+def make_engine(simulator, network):
+    return SignalledReservationEngine(
+        simulator, network, **perfect_plane(simulator, network)
+    )
 
 
 class TestSignalledEngine:
     def test_counters_accumulate(self, simulator, network):
-        engine = SignalledReservationEngine(simulator, network)
+        engine = make_engine(simulator, network)
         results = []
         engine.reserve(ROUTE, "f1", 64_000.0, results.append)
-        simulator.run()
+        simulator.run(until=SETTLE_S)
         engine.reserve(ROUTE, "f2", 64_000.0, results.append)  # now full
-        simulator.run()
+        simulator.run(until=2 * SETTLE_S)
         assert [r.success for r in results] == [True, False]
         assert engine.attempts == 2
         assert engine.failures == 1
@@ -141,17 +178,19 @@ class TestSignalledEngine:
         assert engine.mean_messages > 0.0
 
     def test_release_counts_tear_messages(self, simulator, network):
-        engine = SignalledReservationEngine(simulator, network)
+        engine = make_engine(simulator, network)
         results = []
         engine.reserve(ROUTE, "f1", 64_000.0, results.append)
-        simulator.run()
+        simulator.run(until=SETTLE_S)
         before = engine.total_messages
         engine.release(ROUTE.path, "f1")
+        simulator.run(until=2 * SETTLE_S)
         assert engine.total_messages == before + 3
+        assert engine.tear_messages == 3
         assert network.total_reserved_bps() == 0.0
 
     def test_fresh_engine_means_zero(self, simulator, network):
-        engine = SignalledReservationEngine(simulator, network)
+        engine = make_engine(simulator, network)
         assert engine.mean_latency_s == 0.0
         assert engine.mean_messages == 0.0
 
@@ -165,10 +204,12 @@ class TestEquivalenceWithAtomicEngine:
         signalled_network = line(4, capacity_bps=2 * 64_000.0)
         atomic = AtomicReservationEngine(atomic_network)
         simulator = Simulator()
-        signalled = SignalledReservationEngine(simulator, signalled_network)
+        signalled = make_engine(simulator, signalled_network)
         for flow_id in range(5):
             atomic_success = atomic.try_reserve(ROUTE, flow_id, 64_000.0)
             results = []
             signalled.reserve(ROUTE, flow_id, 64_000.0, results.append)
-            simulator.run()
+            # Bounded: every earlier flow's lease must still hold.
+            simulator.run(until=simulator.now + SETTLE_S)
             assert results[0].success == atomic_success
+        assert simulator.now < LEASE_TTL_S

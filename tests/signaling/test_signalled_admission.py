@@ -20,6 +20,8 @@ from repro.signaling.rsvp import SignalledReservationEngine
 from repro.sim.engine import Simulator
 from repro.sim.random_streams import StreamFactory
 
+from tests.signaling.perfect_plane import perfect_plane
+
 
 def make_router(network, simulator, source=1, members=(0, 3), retrials=2, seed=7):
     group = AnycastGroup("G", members)
@@ -32,7 +34,9 @@ def make_router(network, simulator, source=1, members=(0, 3), retrials=2, seed=7
         selector=EvenDistribution(context),
         retrial_policy=CounterRetrialPolicy(retrials),
         rng=StreamFactory(seed).stream("router"),
-        reservation=SignalledReservationEngine(simulator, network),
+        reservation=SignalledReservationEngine(
+            simulator, network, **perfect_plane(simulator, network)
+        ),
         clock=lambda: simulator.now,
     )
 
@@ -48,10 +52,15 @@ def make_request(flow_id=0, source=1, members=(0, 3), arrival_time=0.0):
 
 
 def admit_sync(router, simulator, request):
-    """Drive one admission to completion and return the outcome."""
+    """Drive one admission to its decision and return the outcome.
+
+    Steps only until the decision arrives, so the clock stays far below
+    the lease TTL and every earlier flow still holds its reservation.
+    """
     outcomes = []
     router.admit(request, on_decision=outcomes.append)
-    simulator.run()
+    while not outcomes and simulator.step():
+        pass
     assert len(outcomes) == 1
     return outcomes[0]
 
@@ -83,7 +92,10 @@ class TestDecisions:
             )
             if outcome.admitted:
                 latencies.append((outcome.attempts, outcome.latency_s))
-            router.release(outcome.flow) if outcome.admitted else None
+                router.release(outcome.flow)
+                # Let the TEAR sweep free the slot (far below the
+                # first lease sweep, which would see the blocker).
+                simulator.run(until=simulator.now + 0.1)
         one_try = [lat for attempts, lat in latencies if attempts == 1]
         two_tries = [lat for attempts, lat in latencies if attempts == 2]
         assert one_try and two_tries
@@ -116,7 +128,10 @@ class TestDecisions:
         outcome = admit_sync(router, simulator, make_request())
         router.release(outcome.flow)
         router.release(outcome.flow)
+        simulator.run(until=simulator.now + 1.0)  # the TEAR sweep
         assert network.total_reserved_bps() == 0.0
+        # One sweep, one TEAR per hop, despite the second release.
+        assert router.reservation.tear_messages == len(outcome.flow.path) - 1
 
 
 class TestEquivalenceWithAtomicRouter:
@@ -151,7 +166,9 @@ class TestEquivalenceWithAtomicRouter:
                 selector=EvenDistribution(context),
                 retrial_policy=CounterRetrialPolicy(2),
                 rng=StreamFactory(42).stream("router"),
-                reservation=SignalledReservationEngine(simulator, network),
+                reservation=SignalledReservationEngine(
+                    simulator, network, **perfect_plane(simulator, network)
+                ),
                 clock=lambda: simulator.now,
             )
 

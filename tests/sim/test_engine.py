@@ -45,9 +45,12 @@ class TestScheduling:
         assert seen == [7.0]
 
     def test_negative_delay_rejected(self):
-        sim = Simulator()
-        with pytest.raises(SimulationError):
-            sim.schedule(-1.0, lambda: None)
+        # At t=1e6 a tiny negative delay rounds away in ``now + delay``;
+        # the delay itself must still be refused.
+        for start_time, delay in ((0.0, -1.0), (0.0, -1e-12), (1e6, -1e-12)):
+            sim = Simulator(start_time=start_time)
+            with pytest.raises(SimulationError):
+                sim.schedule(delay, lambda: None)
 
     def test_past_absolute_time_rejected(self):
         sim = Simulator()

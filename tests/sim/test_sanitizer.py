@@ -150,17 +150,43 @@ class TestTimeMonotonicity:
 class TestSanitizedRunsMatch:
     """check_invariants=True must not perturb simulation results."""
 
-    @pytest.mark.parametrize("queue", ["heap", "calendar"])
-    def test_event_order_identical(self, queue, sanitizer):
-        def run(flag: bool) -> list[float]:
-            sim = Simulator(queue=queue, check_invariants=flag)
-            fired: list[float] = []
-            for t in (3.0, 1.0, 2.0, 2.0, 5.0):
-                sim.schedule(t, lambda t=t: fired.append(sim.now))
-            sim.run()
-            return fired
+    @pytest.mark.parametrize("abort", ["stop", "max_events"])
+    def test_event_order_identical(self, abort, sanitizer):
+        """A run cut partway through a same-timestamp run resumes
+        identically with the sanitizer on or off."""
 
-        assert run(True) == run(False)
+        def run(flag: bool) -> tuple[list[tuple[str, float]], list[float]]:
+            sim = Simulator(check_invariants=flag)
+            fired: list[tuple[str, float]] = []
+
+            def fire(tag: str) -> None:
+                fired.append((tag, sim.now))
+                if tag == "c":
+                    # Joins the tail of the t=2.0 run being dispatched.
+                    sim.schedule(0.0, lambda: fire("c0"))
+                if tag == "b" and abort == "stop":
+                    sim.stop()
+
+            for tag, t in (("e", 3.0), ("a", 1.0), ("b", 2.0), ("c", 2.0), ("d", 2.0)):
+                sim.schedule(t, lambda tag=tag: fire(tag))
+            nows = []
+            if abort == "stop":
+                sim.run(until=10.0)
+            else:
+                sim.run(until=10.0, max_events=2)
+            nows.append(sim.now)
+            sim.run(until=2.5, max_events=2)
+            nows.append(sim.now)
+            sim.run(until=10.0)
+            nows.append(sim.now)
+            return fired, nows
+
+        sanitized = run(True)
+        assert sanitized == run(False)
+        fired, nows = sanitized
+        assert [tag for tag, _ in fired] == ["a", "b", "c", "d", "c0", "e"]
+        assert [now for _, now in fired] == [1.0, 2.0, 2.0, 2.0, 2.0, 3.0]
+        assert nows == [2.0, 2.0, 10.0]
 
     def test_quick_simulation_identical(self):
         import repro
