@@ -8,9 +8,12 @@ stream, a changed iteration order, a different tie-break...) and must
 be treated as a breaking change, not a test update.
 """
 
+import hashlib
+
 import pytest
 
 import repro
+from repro.baselines.gdi import GDIController
 from repro.core.system import SystemSpec
 from repro.experiments.chaos import ChaosConfig, ChaosSimulation
 from repro.flows.group import AnycastGroup
@@ -42,6 +45,41 @@ def test_golden_results_are_stable(algorithm):
     assert result.requests == requests
     assert result.admitted == admitted
     assert result.mean_attempts == pytest.approx(mean_attempts, abs=1e-12)
+
+
+#: GDI under overload (lambda=50, same seed and windows): requests,
+#: admitted, and the SHA-256 of ``repr`` of the ``(flow_id, path)``
+#: list of every flow GDI admitted (warm-up included), in admission
+#: order.  Unlike the lambda=25 pin, GDI blocks here, so the pin covers
+#: the feasibility filter and the choice among equally near members.
+GDI_OVERLOAD_GOLDEN = (
+    10015,
+    7232,
+    "88a3eff2c0f8fc8ec75cb5f46c8fe975d33b839da189a386c110cc15e724288d",
+)
+
+
+def test_gdi_overload_paths_are_stable(monkeypatch):
+    chosen = []
+    admit = GDIController.admit
+
+    def recording_admit(self, request, now=None):
+        result = admit(self, request, now)
+        if result.flow is not None:
+            chosen.append((result.flow.flow_id, result.flow.path))
+        return result
+
+    monkeypatch.setattr(GDIController, "admit", recording_admit)
+    result = repro.quick_run(
+        "GDI",
+        retrials=2,
+        arrival_rate=50.0,
+        warmup_s=50.0,
+        measure_s=200.0,
+        seed=20010405,
+    )
+    digest = hashlib.sha256(repr(chosen).encode()).hexdigest()
+    assert (result.requests, result.admitted, digest) == GDI_OVERLOAD_GOLDEN
 
 
 def test_workload_identical_across_systems():
