@@ -9,9 +9,19 @@ link.
 
 That existence question is a reachability problem on the subgraph of
 links with ``AB_l >= b``, so the "exhaustive search for all the
-available paths" reduces to one BFS per member; among feasible members
-the minimum-hop path is used (deterministic tie-break), which also
-makes GDI frugal with resources.
+available paths" reduces to one multi-target BFS from the source over
+that subgraph (:func:`~repro.network.routing.feasible_path`).  It stops
+after the first level that holds a member and takes the first member
+of that level in group order, so GDI uses a minimum-hop path (which
+keeps it frugal with resources) with a deterministic tie-break.
+
+The one search picks the same path as one search per member would.
+Both expand nodes in the same FIFO order over the same sorted
+neighbours, and the reservation state does not change during a
+decision, so each per-member search is a prefix of the one search and
+assigns the same parents.  The nearest member first in group order is
+the one a per-member loop keeping the first strictly shorter path
+would keep.
 
 The paper stresses this system "is not realistic, and it is
 difficult, if not impossible, to implement in practice" — it exists
@@ -20,15 +30,13 @@ to upper-bound the achievable admission probability.
 
 from __future__ import annotations
 
-from typing import Hashable, Optional
+from typing import Optional
 
 from repro.core.admission import AdmissionResult
 from repro.flows.flow import AdmittedFlow, FlowRequest
 from repro.flows.group import AnycastGroup
 from repro.network.routing import feasible_path
 from repro.network.topology import Network
-
-NodeId = Hashable
 
 
 class GDIController:
@@ -50,8 +58,8 @@ class GDIController:
     def admit(self, request: FlowRequest, now: Optional[float] = None) -> AdmissionResult:
         """Admit iff any member is reachable over links with room.
 
-        Members are scanned in group order; the overall minimum-hop
-        feasible path across members is reserved.
+        The minimum-hop feasible path across members is reserved
+        (ties: first member in group order).
         """
         if request.group != self.group:
             raise ValueError(
@@ -61,13 +69,9 @@ class GDIController:
         decided_at = request.arrival_time if now is None else now
         self.requests_seen += 1
         self.total_attempts += 1
-        best_path: Optional[list[NodeId]] = None
-        for member in self.group.members:
-            path = feasible_path(
-                self.network, request.source, member, request.bandwidth_bps
-            )
-            if path is not None and (best_path is None or len(path) < len(best_path)):
-                best_path = path
+        best_path = feasible_path(
+            self.network, request.source, self.group.members, request.bandwidth_bps
+        )
         if best_path is None:
             return AdmissionResult(
                 request=request,

@@ -8,8 +8,8 @@ to the admission-control machinery.
 * :mod:`repro.network.link` -- a directed capacitated link with a
   per-flow reservation ledger.
 * :mod:`repro.network.topology` -- the network graph.
-* :mod:`repro.network.routing` -- fixed shortest-path routes (and
-  k-shortest / feasible-path search used by the GDI baseline).
+* :mod:`repro.network.routing` -- fixed shortest-path routes, and the
+  multi-target feasible-path search used by the GDI baseline.
 * :mod:`repro.network.topologies` -- canned topologies including the
   19-node MCI ISP backbone of the paper's evaluation.
 """
@@ -19,7 +19,6 @@ from repro.network.routing import (
     Route,
     RouteTable,
     feasible_path,
-    k_shortest_paths,
     shortest_path,
 )
 from repro.network.topologies import (
@@ -48,7 +47,6 @@ __all__ = [
     "dumbbell",
     "feasible_path",
     "grid",
-    "k_shortest_paths",
     "line",
     "mci_backbone",
     "nsfnet",

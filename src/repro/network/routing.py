@@ -10,11 +10,13 @@ destination-selection algorithms.  This module provides:
   model agree on the same fixed routes).
 * :class:`RouteTable` -- the per-source table of fixed routes to every
   member of an anycast group.
-* :func:`feasible_path` -- minimum-hop path restricted to links with
-  sufficient available bandwidth, used by the GDI baseline's
+* :func:`feasible_path` -- one BFS over links with enough available
+  bandwidth to the nearest of several targets, the GDI baseline's
   exhaustive global search.
-* :func:`k_shortest_paths` -- loop-free k-shortest paths (Yen's
-  algorithm) used in ablation studies.
+
+Both searches expand nodes in FIFO order over the network's cached
+:meth:`~repro.network.topology.Network.out_links` table, whose
+neighbours are sorted by ``repr``.
 """
 
 from __future__ import annotations
@@ -23,30 +25,20 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Hashable, Optional, Sequence
 
-from repro.network.link import Link
+from repro.network.link import ADMIT_EPSILON_BPS, Link
 from repro.network.topology import Network, NetworkError
 
 NodeId = Hashable
 
 
-def _sorted_neighbors(network: Network, node: NodeId) -> list[NodeId]:
-    """Out-neighbors in a stable, repeatable order."""
-    return sorted(network.neighbors(node), key=repr)
-
-
 def shortest_path(
-    network: Network,
-    source: NodeId,
-    target: NodeId,
-    min_available_bps: Optional[float] = None,
+    network: Network, source: NodeId, target: NodeId
 ) -> Optional[list[NodeId]]:
     """Deterministic minimum-hop path from ``source`` to ``target``.
 
     Breadth-first search expanding neighbors in sorted order, so among
     equal-hop paths the lexicographically smallest (by node repr) is
-    returned.  If ``min_available_bps`` is given, only links with at
-    least that much available bandwidth are traversed — this variant
-    implements the GDI baseline's feasibility search.
+    returned.
 
     Returns the node list (``[source, ..., target]``) or ``None`` if
     unreachable.
@@ -57,17 +49,14 @@ def shortest_path(
         raise NetworkError(f"unknown target node {target!r}")
     if source == target:
         return [source]
+    out_links = network.out_links()
     parents: dict[NodeId, NodeId] = {source: source}
     frontier: deque[NodeId] = deque([source])
     while frontier:
         node = frontier.popleft()
-        for neighbor in _sorted_neighbors(network, node):
+        for neighbor, _ in out_links[node]:
             if neighbor in parents:
                 continue
-            if min_available_bps is not None:
-                link = network.link(node, neighbor)
-                if link.available_bps + 1e-9 < min_available_bps:
-                    continue
             parents[neighbor] = node
             if neighbor == target:
                 return _reconstruct(parents, source, target)
@@ -76,14 +65,61 @@ def shortest_path(
 
 
 def feasible_path(
-    network: Network, source: NodeId, target: NodeId, bandwidth_bps: float
+    network: Network,
+    source: NodeId,
+    targets: Sequence[NodeId],
+    bandwidth_bps: float,
 ) -> Optional[list[NodeId]]:
-    """Minimum-hop path using only links that can admit ``bandwidth_bps``.
+    """Minimum-hop path to the nearest of ``targets`` using only links
+    that can admit ``bandwidth_bps``.
 
     This is the primitive behind the GDI baseline: the admission
-    succeeds iff such a path exists to *some* group member.
+    succeeds iff such a path exists to *some* group member.  One BFS
+    runs level by level and stops after the level where a target first
+    appears; among the targets of that level the first in ``targets``
+    order wins.  ``[source]`` is returned if the source is a target,
+    ``None`` if no target is reachable.  A link is skipped when its
+    available bandwidth plus :data:`~repro.network.link.ADMIT_EPSILON_BPS`
+    is below ``bandwidth_bps``, the slack a reservation also grants.
     """
-    return shortest_path(network, source, target, min_available_bps=bandwidth_bps)
+    if not network.has_node(source):
+        raise NetworkError(f"unknown source node {source!r}")
+    for target in targets:
+        if not network.has_node(target):
+            raise NetworkError(f"unknown target node {target!r}")
+    if source in targets:
+        return [source]
+    wanted = set(targets)
+    out_links = network.out_links()
+    state = network.link_state
+    capacity = state.capacity
+    reserved = state.reserved
+    parents: dict[NodeId, NodeId] = {source: source}
+    level = [source]
+    while level:
+        found = False
+        next_level: list[NodeId] = []
+        for node in level:
+            for neighbor, index in out_links[node]:
+                if neighbor in parents:
+                    continue
+                if (
+                    capacity[index] - reserved[index] + ADMIT_EPSILON_BPS
+                    < bandwidth_bps
+                ):
+                    continue
+                parents[neighbor] = node
+                next_level.append(neighbor)
+                if neighbor in wanted:
+                    found = True
+        if found:
+            # Every target in ``parents`` was reached on this level:
+            # an earlier one would have stopped the search there.
+            for target in targets:
+                if target in parents:
+                    return _reconstruct(parents, source, target)
+        level = next_level
+    return None
 
 
 def _reconstruct(
@@ -96,89 +132,6 @@ def _reconstruct(
         path.append(node)
     path.reverse()
     return path
-
-
-def all_shortest_path_lengths(network: Network, source: NodeId) -> dict[NodeId, int]:
-    """Hop distance from ``source`` to every reachable node (BFS)."""
-    if not network.has_node(source):
-        raise NetworkError(f"unknown source node {source!r}")
-    distances = {source: 0}
-    frontier: deque[NodeId] = deque([source])
-    while frontier:
-        node = frontier.popleft()
-        for neighbor in _sorted_neighbors(network, node):
-            if neighbor not in distances:
-                distances[neighbor] = distances[node] + 1
-                frontier.append(neighbor)
-    return distances
-
-
-def k_shortest_paths(
-    network: Network, source: NodeId, target: NodeId, k: int
-) -> list[list[NodeId]]:
-    """Yen's algorithm: up to ``k`` loop-free minimum-hop paths.
-
-    Paths are ordered by (hop count, lexicographic).  Used by the
-    multipath ablation of the GDI baseline.
-    """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    first = shortest_path(network, source, target)
-    if first is None:
-        return []
-    paths = [first]
-    candidates: list[tuple[int, list[str], list[NodeId]]] = []
-    seen = {tuple(first)}
-    while len(paths) < k:
-        previous = paths[-1]
-        for i in range(len(previous) - 1):
-            spur_node = previous[i]
-            root = previous[: i + 1]
-            removed_links: set[tuple[NodeId, NodeId]] = set()
-            for path in paths:
-                if len(path) > i and path[: i + 1] == root:
-                    removed_links.add((path[i], path[i + 1]))
-            banned_nodes = set(root[:-1])
-            spur = _restricted_bfs(network, spur_node, target, banned_nodes, removed_links)
-            if spur is not None:
-                candidate = root[:-1] + spur
-                key = tuple(candidate)
-                if key not in seen:
-                    seen.add(key)
-                    candidates.append(
-                        (len(candidate), [repr(n) for n in candidate], candidate)
-                    )
-        if not candidates:
-            break
-        candidates.sort(key=lambda item: (item[0], item[1]))
-        paths.append(candidates.pop(0)[2])
-    return paths
-
-
-def _restricted_bfs(
-    network: Network,
-    source: NodeId,
-    target: NodeId,
-    banned_nodes: set[NodeId],
-    banned_links: set[tuple[NodeId, NodeId]],
-) -> Optional[list[NodeId]]:
-    """BFS avoiding given nodes and directed links (helper for Yen)."""
-    if source == target:
-        return [source]
-    parents = {source: source}
-    frontier: deque[NodeId] = deque([source])
-    while frontier:
-        node = frontier.popleft()
-        for neighbor in _sorted_neighbors(network, node):
-            if neighbor in parents or neighbor in banned_nodes:
-                continue
-            if (node, neighbor) in banned_links:
-                continue
-            parents[neighbor] = node
-            if neighbor == target:
-                return _reconstruct(parents, source, target)
-            frontier.append(neighbor)
-    return None
 
 
 @dataclass(frozen=True)

@@ -40,6 +40,9 @@ class Network:
         self._nodes: dict[NodeId, dict[str, Any]] = {}
         self._links: dict[tuple[NodeId, NodeId], Link] = {}
         self._adjacency: dict[NodeId, list[NodeId]] = {}
+        self._out_links: Optional[
+            dict[NodeId, tuple[tuple[NodeId, int], ...]]
+        ] = None
         #: Columnar bandwidth accounting shared by every link; link
         #: ids are dense indices in construction order.
         self.link_state = LinkStateArrays()
@@ -55,6 +58,7 @@ class Network:
             return
         self._nodes[node] = dict(attributes)
         self._adjacency[node] = []
+        self._out_links = None
 
     def add_link(
         self,
@@ -90,6 +94,7 @@ class Network:
             self._links[(u, v)] = link
             self._links_by_index.append(link)
             self._adjacency[u].append(v)
+        self._out_links = None
 
     # ------------------------------------------------------------------
     # inspection
@@ -144,6 +149,28 @@ class Network:
             return tuple(self._adjacency[node])
         except KeyError:
             raise NetworkError(f"unknown node {node!r}") from None
+
+    def out_links(self) -> dict[NodeId, tuple[tuple[NodeId, int], ...]]:
+        """Per node, its ``(neighbour, link index)`` pairs sorted by
+        ``repr`` of the neighbour.
+
+        The stable, repeatable expansion order of the routing searches.
+        Built on first use and rebuilt after the topology changes; the
+        link index addresses :attr:`link_state` directly.
+        """
+        table = self._out_links
+        if table is None:
+            table = {
+                node: tuple(
+                    sorted(
+                        ((v, self._links[(node, v)].index) for v in adjacent),
+                        key=lambda pair: repr(pair[0]),
+                    )
+                )
+                for node, adjacent in self._adjacency.items()
+            }
+            self._out_links = table
+        return table
 
     def degree(self, node: NodeId) -> int:
         """Out-degree of ``node``."""

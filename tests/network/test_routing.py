@@ -6,12 +6,10 @@ import pytest
 from repro.network.routing import (
     Route,
     RouteTable,
-    all_shortest_path_lengths,
     feasible_path,
-    k_shortest_paths,
     shortest_path,
 )
-from repro.network.topologies import line, mci_backbone, star
+from repro.network.topologies import line, mci_backbone
 from repro.network.topology import Network, NetworkError
 
 
@@ -63,75 +61,79 @@ class TestShortestPath:
                 reference = nx.shortest_path_length(graph, source, target)
                 assert len(ours) - 1 == reference
 
+    # The bandwidth-filtered variant is feasible_path with one target.
     def test_min_available_filters_links(self):
         net = build_diamond()
         net.link(0, 1).reserve("blocker", 100.0)
-        assert shortest_path(net, 0, 3, min_available_bps=50.0) == [0, 2, 3]
+        assert feasible_path(net, 0, [3], 50.0) == [0, 2, 3]
 
     def test_min_available_unreachable(self):
         net = line(3)
         net.link(1, 2).reserve("blocker", net.link(1, 2).capacity_bps)
-        assert shortest_path(net, 0, 2, min_available_bps=1.0) is None
+        assert feasible_path(net, 0, [2], 1.0) is None
+
+    def test_uses_link_added_after_a_search(self):
+        net = line(4)
+        assert shortest_path(net, 0, 3) == [0, 1, 2, 3]
+        net.add_link(0, 3, capacity_bps=100.0)
+        assert shortest_path(net, 0, 3) == [0, 3]
 
 
 class TestFeasiblePath:
     def test_respects_bandwidth(self):
         net = build_diamond()
         net.link(0, 1).reserve("f", 60.0)
-        assert feasible_path(net, 0, 3, bandwidth_bps=50.0) == [0, 2, 3]
-        assert feasible_path(net, 0, 3, bandwidth_bps=30.0) == [0, 1, 3]
+        assert feasible_path(net, 0, [3], bandwidth_bps=50.0) == [0, 2, 3]
+        assert feasible_path(net, 0, [3], bandwidth_bps=30.0) == [0, 1, 3]
 
     def test_none_when_saturated(self):
         net = line(3)
         net.link(0, 1).reserve("f", 100.0 * 64_000 // 320)  # partial
         net.link(0, 1).release("f")
         net.link(0, 1).reserve("f", net.link(0, 1).capacity_bps)
-        assert feasible_path(net, 0, 2, bandwidth_bps=1.0) is None
+        assert feasible_path(net, 0, [2], bandwidth_bps=1.0) is None
 
+    def test_admits_what_a_reservation_admits(self):
+        # 1 - (0.2 + 0.4) rounds below 0.4, so 0.4 fits only within
+        # the admission slack that reserve_path grants too.
+        net = line(2, capacity_bps=1.0)
+        net.link(0, 1).reserve("a", 0.2)
+        net.link(0, 1).reserve("b", 0.4)
+        assert net.link(0, 1).available_bps < 0.4
+        assert feasible_path(net, 0, [1], bandwidth_bps=0.4) == [0, 1]
+        assert net.reserve_path([0, 1], "c", 0.4)
 
-class TestAllShortestPathLengths:
-    def test_line_distances(self):
+    def test_source_member_is_zero_hop(self):
+        net = line(3)
+        assert feasible_path(net, 1, [2, 1], bandwidth_bps=1.0) == [1]
+
+    def test_nearest_target_wins(self):
+        net = line(5)
+        assert feasible_path(net, 1, [4, 0], bandwidth_bps=1.0) == [1, 0]
+
+    def test_equal_depth_tie_goes_to_first_target(self):
+        net = build_diamond()
+        assert feasible_path(net, 0, [2, 1], bandwidth_bps=1.0) == [0, 2]
+        assert feasible_path(net, 0, [1, 2], bandwidth_bps=1.0) == [0, 1]
+
+    def test_skips_unreachable_target(self):
+        net = build_diamond()
+        net.add_node("island")
+        net.link(0, 1).reserve("f", 100.0)
+        assert feasible_path(net, 0, ["island", 1, 3], 1.0) == [0, 2, 3]
+
+    def test_unknown_nodes_raise(self):
+        net = build_diamond()
+        with pytest.raises(NetworkError):
+            feasible_path(net, 99, [3], bandwidth_bps=1.0)
+        with pytest.raises(NetworkError):
+            feasible_path(net, 0, [3, 99], bandwidth_bps=1.0)
+
+    def test_uses_link_added_after_a_search(self):
         net = line(4)
-        distances = all_shortest_path_lengths(net, 0)
-        assert distances == {0: 0, 1: 1, 2: 2, 3: 3}
-
-    def test_star_distances(self):
-        net = star(4)
-        distances = all_shortest_path_lengths(net, 1)
-        assert distances[0] == 1
-        assert distances[2] == 2
-
-
-class TestKShortestPaths:
-    def test_returns_distinct_loop_free_paths(self):
-        net = build_diamond()
-        paths = k_shortest_paths(net, 0, 3, k=3)
-        assert paths[0] == [0, 1, 3]
-        assert paths[1] == [0, 2, 3]
-        assert len(paths) == 2  # only two loop-free paths exist
-        for path in paths:
-            assert len(set(path)) == len(path)
-
-    def test_k_one_equals_shortest(self):
-        net = mci_backbone()
-        assert k_shortest_paths(net, 1, 8, k=1) == [shortest_path(net, 1, 8)]
-
-    def test_paths_sorted_by_length(self):
-        net = mci_backbone()
-        paths = k_shortest_paths(net, 1, 12, k=5)
-        lengths = [len(p) for p in paths]
-        assert lengths == sorted(lengths)
-
-    def test_invalid_k(self):
-        net = build_diamond()
-        with pytest.raises(ValueError):
-            k_shortest_paths(net, 0, 3, k=0)
-
-    def test_unreachable_returns_empty(self):
-        net = Network()
-        net.add_link(0, 1, capacity_bps=1.0)
-        net.add_node(9)
-        assert k_shortest_paths(net, 0, 9, k=3) == []
+        assert feasible_path(net, 0, [3], bandwidth_bps=1.0) == [0, 1, 2, 3]
+        net.add_link(0, 3, capacity_bps=100.0)
+        assert feasible_path(net, 0, [3], bandwidth_bps=1.0) == [0, 3]
 
 
 class TestRoute:

@@ -99,6 +99,25 @@ class TestTopologyQueries:
         net = build_triangle()
         assert len(list(net.links())) == 6
 
+    def test_out_links_sorted_by_repr_with_link_ids(self):
+        net = Network()
+        net.add_link(0, 10, capacity_bps=1.0)
+        net.add_link(0, 9, capacity_bps=1.0)
+        # repr order: "10" < "9"
+        assert net.out_links()[0] == (
+            (10, net.link(0, 10).index),
+            (9, net.link(0, 9).index),
+        )
+
+    def test_out_links_rebuilt_after_topology_changes(self):
+        net = build_triangle()
+        before = net.out_links()
+        net.add_node(3)
+        assert net.out_links()[3] == ()
+        net.add_link(3, 0, capacity_bps=1.0)
+        assert net.out_links()[0][-1] == (3, net.link(0, 3).index)
+        assert net.out_links() is not before
+
 
 class TestPathOperations:
     def test_path_links_resolution(self):
