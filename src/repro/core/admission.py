@@ -251,9 +251,7 @@ class _Admission:
     def attempt(self, messages: int = 0) -> None:
         """Select a destination and start reserving its route."""
         router = self.router
-        destination = router.selector.select(
-            router.rng, exclude=frozenset(self.excluded)
-        )
+        destination = router.selector.select(router.rng, exclude=self.excluded)
         self.tried.append(destination)
         route = router.routes.route_to(destination)
         router.reservation.reserve(

@@ -33,7 +33,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Hashable, Optional, Protocol, Sequence
+from typing import (
+    TYPE_CHECKING,
+    AbstractSet,
+    Hashable,
+    Optional,
+    Protocol,
+    Sequence,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import for type checkers only
     from repro.network.state import BandwidthView
@@ -138,9 +145,13 @@ class DestinationSelector(Protocol):
         ...
 
     def select(
-        self, rng: RandomStream, exclude: frozenset[NodeId] = frozenset()
+        self, rng: RandomStream, exclude: AbstractSet[NodeId] = frozenset()
     ) -> NodeId:
-        """Draw a destination, renormalizing over non-excluded members."""
+        """Draw a destination, renormalizing over non-excluded members.
+
+        ``exclude`` may be the caller's own mutable set: it is read
+        during the call and not kept.
+        """
         ...
 
     def observe(self, member: NodeId, success: bool) -> None:
@@ -164,7 +175,7 @@ class _WeightedSelectorBase:
         """Default: stateless selectors ignore outcomes."""
 
     def select(
-        self, rng: RandomStream, exclude: frozenset[NodeId] = frozenset()
+        self, rng: RandomStream, exclude: AbstractSet[NodeId] = frozenset()
     ) -> NodeId:
         members = self.group.members
         weights = self.weights()
@@ -172,12 +183,11 @@ class _WeightedSelectorBase:
             candidates = [m for m in members if m not in exclude]
             if not candidates:
                 raise ValueError("all group members excluded")
-            candidate_weights = [
-                weights[self.group.index_of(m)] for m in candidates
-            ]
-            candidate_weights = _renormalize(candidate_weights)
+            candidate_weights = _renormalize(
+                [w for m, w in zip(members, weights) if m not in exclude]
+            )
             return rng.weighted_choice(candidates, candidate_weights)
-        return rng.weighted_choice(list(members), weights)
+        return rng.weighted_choice(members, weights)
 
 
 class EvenDistribution(_WeightedSelectorBase):
@@ -332,16 +342,16 @@ class DistanceBandwidthWeighted(_WeightedSelectorBase):
         self.view = view
 
     def weights(self) -> list[float]:
-        routes = self._routes
-        scores: list[float] = []
-        for route, distance in zip(routes, self._distances):
-            bandwidth = self.view.route_available_bps(route)
-            if distance == 0:
-                # Zero-hop route: free to use; dominate the weights.
-                return [
-                    1.0 if r.distance == 0 else 0.0 for r in routes
-                ]
-            scores.append(max(0.0, bandwidth) / distance)
+        bandwidths = self.view.routes_available_bps(self._routes)
+        distances = self._distances
+        if 0.0 in distances:
+            # Zero-hop route: free to use; dominate the weights.
+            return [1.0 if distance == 0 else 0.0 for distance in distances]
+        # ``b if b > 0.0 else 0.0`` is ``max(0.0, b)`` without the call.
+        scores = [
+            (bandwidth if bandwidth > 0.0 else 0.0) / distance
+            for bandwidth, distance in zip(bandwidths, distances)
+        ]
         total = sum(scores)
         if total <= 0:
             return distance_weights(self._distances)
@@ -386,16 +396,16 @@ class HybridWeighted(_WeightedSelectorBase):
         self.view = view
 
     def weights(self) -> list[float]:
-        routes = self._routes
-        counters = self.history.counters()
-        scores: list[float] = []
-        for route, distance, failures in zip(
-            routes, self._distances, counters
-        ):
-            if distance == 0:
-                return [1.0 if r.distance == 0 else 0.0 for r in routes]
-            bandwidth = max(0.0, self.view.route_available_bps(route))
-            scores.append((bandwidth / distance) * self.alpha**failures)
+        bandwidths = self.view.routes_available_bps(self._routes)
+        distances = self._distances
+        if 0.0 in distances:
+            return [1.0 if distance == 0 else 0.0 for distance in distances]
+        scores = [
+            (max(0.0, bandwidth) / distance) * self.alpha**failures
+            for bandwidth, distance, failures in zip(
+                bandwidths, distances, self.history.counters()
+            )
+        ]
         total = sum(scores)
         if total <= 0:
             return distance_weights(self._distances)
@@ -428,7 +438,7 @@ class ShortestPathSelector(_WeightedSelectorBase):
         ]
 
     def select(
-        self, rng: RandomStream, exclude: frozenset[NodeId] = frozenset()
+        self, rng: RandomStream, exclude: AbstractSet[NodeId] = frozenset()
     ) -> NodeId:
         if self._choice in exclude:
             # SP has no second choice; fall back to the next-nearest

@@ -164,6 +164,8 @@ class TrafficModel:
         self._source = streams.stream("traffic.source")
         self._lifetime = streams.stream("traffic.lifetime")
         self._class = streams.stream("traffic.class")
+        # Requests of the default class share one (immutable) QoS.
+        self._default_qos = spec.qos()
         self._next_flow_id = 0
         self._clock = 0.0
 
@@ -182,17 +184,19 @@ class TrafficModel:
         else:
             source = self._source.choice(self.spec.sources)
         lifetime = self._lifetime.exponential(self.spec.mean_lifetime_s)
-        bandwidth: Optional[float] = None
+        qos = self._default_qos
         if self.spec.bandwidth_classes is not None:
-            bandwidth = self._class.weighted_choice(
-                [bw for bw, _ in self.spec.bandwidth_classes],
-                [p for _, p in self.spec.bandwidth_classes],
+            qos = self.spec.qos(
+                self._class.weighted_choice(
+                    [bw for bw, _ in self.spec.bandwidth_classes],
+                    [p for _, p in self.spec.bandwidth_classes],
+                )
             )
         request = FlowRequest(
             flow_id=self._next_flow_id,
             source=source,
             group=self.spec.group,
-            qos=self.spec.qos(bandwidth),
+            qos=qos,
             arrival_time=self._clock,
             lifetime_s=lifetime,
         )

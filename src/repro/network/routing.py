@@ -217,25 +217,6 @@ class Route:
             object.__setattr__(self, "_link_keys", keys)
         return keys
 
-    def bottleneck_bps(self, network: Network) -> float:
-        """Route bandwidth ``B_i = min over links of AB_l`` (eq. 11).
-
-        Reads the network's flat state arrays directly: one subtract
-        and compare per hop, no per-link attribute walks.
-        """
-        indices = self.resolve_link_indices(network)
-        if not indices:
-            return float("inf")
-        state = network.link_state
-        capacity = state.capacity
-        reserved = state.reserved
-        best = float("inf")
-        for i in indices:
-            available = capacity[i] - reserved[i]
-            if available < best:
-                best = available
-        return best
-
     def __str__(self) -> str:
         return "->".join(str(node) for node in self.path)
 

@@ -65,7 +65,11 @@ class BandwidthView(Protocol):
         ...
 
     def route_available_bps(self, route: "Route") -> float:
-        """Bottleneck bandwidth of a fixed :class:`Route` (hot path)."""
+        """Bottleneck bandwidth of a fixed :class:`Route`."""
+        ...
+
+    def routes_available_bps(self, routes: Sequence["Route"]) -> list[float]:
+        """Bottleneck bandwidths of ``routes``, in order (hot path)."""
         ...
 
 
@@ -99,6 +103,31 @@ class LiveBandwidthView:
             if available < best:
                 best = available
         return best
+
+    def routes_available_bps(self, routes: Sequence["Route"]) -> list[float]:
+        """Current bottleneck bandwidth of every route, in order.
+
+        One pass over the routes' cached link ids: what WD/D+B reads
+        before each draw, without a call per route.
+        """
+        network = self._network
+        state = network.link_state
+        capacity = state.capacity
+        reserved = state.reserved
+        bottlenecks: list[float] = []
+        for route in routes:
+            # The route's cached ids, read in place: a method call per
+            # route would cost as much as the scan itself.
+            indices = route._link_indices
+            if indices is None or route._links_network is not network:
+                indices = route.resolve_link_indices(network)
+            best = float("inf")
+            for i in indices:
+                available = capacity[i] - reserved[i]
+                if available < best:
+                    best = available
+            bottlenecks.append(best)
+        return bottlenecks
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "LiveBandwidthView()"
@@ -171,6 +200,19 @@ class SnapshotBandwidthView:
             return float("inf")
         snapshot = self._snapshot
         return min(snapshot[key] for key in keys)
+
+    def routes_available_bps(self, routes: Sequence["Route"]) -> list[float]:
+        """Snapshot bottleneck of every route, in order.
+
+        Refreshes at most once for the whole batch: all routes are read
+        from the same advertisement.
+        """
+        self._maybe_refresh()
+        snapshot = self._snapshot
+        return [
+            min((snapshot[key] for key in route.link_keys()), default=float("inf"))
+            for route in routes
+        ]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

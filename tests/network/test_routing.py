@@ -145,12 +145,6 @@ class TestRoute:
         route = Route(source=0, destination=0, path=(0,))
         assert route.distance == 0
 
-    def test_bottleneck(self):
-        net = build_diamond()
-        net.link(1, 3).reserve("f", 75.0)
-        route = Route(source=0, destination=3, path=(0, 1, 3))
-        assert route.bottleneck_bps(net) == pytest.approx(25.0)
-
     def test_str(self):
         route = Route(source=0, destination=3, path=(0, 1, 3))
         assert str(route) == "0->1->3"

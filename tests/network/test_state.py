@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.network.routing import Route, RouteTable
 from repro.network.state import LiveBandwidthView, SnapshotBandwidthView
-from repro.network.topologies import line
+from repro.network.topologies import line, mci_backbone
+from repro.network.topology import Network
 
 
 @pytest.fixture
@@ -20,6 +22,16 @@ class TestLiveView:
         assert view.path_available_bps(PATH) == 10 * 64_000.0
         network.link(1, 2).reserve("f", 64_000.0)
         assert view.path_available_bps(PATH) == 9 * 64_000.0
+
+    def test_route_bottleneck(self):
+        # 0 -> {1, 2} -> 3, all links 100 bps.
+        diamond = Network("diamond")
+        for u, v in ((0, 1), (0, 2), (1, 3), (2, 3)):
+            diamond.add_link(u, v, capacity_bps=100.0)
+        diamond.link(1, 3).reserve("f", 75.0)
+        route = Route(source=0, destination=3, path=(0, 1, 3))
+        view = LiveBandwidthView(diamond)
+        assert view.route_available_bps(route) == pytest.approx(25.0)
 
 
 class TestSnapshotView:
@@ -66,6 +78,50 @@ class TestSnapshotView:
             SnapshotBandwidthView(network, lambda: 0.0, -1.0)
 
 
+class TestBatchedReads:
+    """``routes_available_bps`` is the per-route read, once per route."""
+
+    @staticmethod
+    def loaded_routes():
+        network = mci_backbone()
+        routes = RouteTable(network, 1, (0, 1, 4, 8, 12, 16)).routes()
+        for k, link in enumerate(network.links()):
+            if k % 3 == 0:
+                link.reserve(("load", k), float(k % 7) * 64_000.0)
+        return network, routes
+
+    def test_live_view_matches_per_route_reads(self):
+        network, routes = self.loaded_routes()
+        view = LiveBandwidthView(network)
+        batch = view.routes_available_bps(routes)
+        assert batch == [view.route_available_bps(r) for r in routes]
+        assert batch[1] == float("inf")  # the source is a member
+        assert len(set(batch)) > 2
+
+    def test_snapshot_view_matches_per_route_reads(self):
+        network, routes = self.loaded_routes()
+        clock = {"t": 0.0}
+        view = SnapshotBandwidthView(network, lambda: clock["t"], 10.0)
+        batch = view.routes_available_bps(routes)
+        assert view.refreshes == 1
+        assert batch == [view.route_available_bps(r) for r in routes]
+        assert batch == LiveBandwidthView(network).routes_available_bps(routes)
+
+    def test_snapshot_batch_refreshes_at_most_once(self):
+        network, routes = self.loaded_routes()
+        clock = {"t": 0.0}
+        view = SnapshotBandwidthView(network, lambda: clock["t"], 10.0)
+        view.routes_available_bps(routes)
+        network.link(*routes[0].path[:2]).reserve("late", 64_000.0)
+        clock["t"] = 5.0
+        stale = view.routes_available_bps(routes)
+        assert view.refreshes == 1
+        clock["t"] = 10.0
+        fresh = view.routes_available_bps(routes)
+        assert view.refreshes == 2
+        assert fresh[0] < stale[0]
+
+
 class TestSelectorIntegration:
     def test_wddb_with_stale_view_ignores_recent_load(self):
         from repro.core.selection import (
@@ -73,7 +129,6 @@ class TestSelectorIntegration:
             SelectionContext,
         )
         from repro.flows.group import AnycastGroup
-        from repro.network.routing import RouteTable
 
         # Symmetric geometry: node 2 sits two hops from both members.
         network = line(5, capacity_bps=10 * 64_000.0)
@@ -96,7 +151,6 @@ class TestSelectorIntegration:
     def test_build_system_requires_clock_for_staleness(self):
         from repro.core.system import SystemSpec, build_system
         from repro.flows.group import AnycastGroup
-        from repro.network.topologies import mci_backbone
         from repro.sim.random_streams import StreamFactory
 
         with pytest.raises(ValueError):
@@ -112,11 +166,7 @@ class TestSelectorIntegration:
         from repro.core.system import SystemSpec
         from repro.flows.group import AnycastGroup
         from repro.flows.traffic import WorkloadSpec
-        from repro.network.topologies import (
-            MCI_GROUP_MEMBERS,
-            MCI_SOURCES,
-            mci_backbone,
-        )
+        from repro.network.topologies import MCI_GROUP_MEMBERS, MCI_SOURCES
         from repro.sim.simulation import run_simulation
 
         workload = WorkloadSpec(

@@ -1,8 +1,9 @@
 """Unit tests for named random streams (repro.sim.random_streams)."""
 
+import numpy as np
 import pytest
 
-from repro.sim.random_streams import StreamFactory
+from repro.sim.random_streams import StreamFactory, _name_to_entropy
 
 
 class TestDeterminism:
@@ -135,3 +136,50 @@ class TestWeightedChoice:
         stream = StreamFactory(0).stream("wc")
         with pytest.raises(ValueError):
             stream.weighted_choice(["a", "b"], [0.0, 0.0])
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_weight_rejected_without_a_draw(self, bad):
+        stream = StreamFactory(0).stream("wc")
+        with pytest.raises(ValueError, match=f"weight {bad} is not finite"):
+            stream.weighted_choice(["a", "b", "c"], [0.5, bad, 0.5])
+        assert stream.draws == 0
+        fresh = StreamFactory(0).stream("wc")
+        assert stream.uniform() == fresh.uniform()
+
+    def test_overflowing_weight_sum_rejected(self):
+        stream = StreamFactory(0).stream("wc")
+        with pytest.raises(ValueError, match="overflows"):
+            stream.weighted_choice(["a", "b"], [1e308, 1e308])
+        assert stream.draws == 0
+
+
+class TestNonFiniteBounds:
+    @pytest.mark.parametrize(
+        "low, high, named",
+        [
+            (0.0, float("inf"), "high=inf"),
+            (float("-inf"), 1.0, "low=-inf"),
+            (float("nan"), 1.0, "low=nan"),
+        ],
+    )
+    def test_non_finite_bound_rejected_without_a_draw(self, low, high, named):
+        stream = StreamFactory(0).stream("uni")
+        with pytest.raises(ValueError, match=named):
+            stream.uniform(low, high)
+        assert stream.draws == 0
+        fresh = StreamFactory(0).stream("uni")
+        assert stream.uniform() == fresh.uniform()
+
+    def test_overflowing_range_rejected(self):
+        stream = StreamFactory(0).stream("uni")
+        with pytest.raises(ValueError, match="overflows"):
+            stream.uniform(-1e308, 1e308)
+
+
+class TestBlockDraws:
+    def test_streams_fill_no_block_until_the_first_draw(self):
+        stream = StreamFactory(5).stream("lazy")
+        untouched = np.random.PCG64(
+            np.random.SeedSequence(entropy=5, spawn_key=(_name_to_entropy("lazy"),))
+        )
+        assert stream._generator.bit_generator.state == untouched.state
